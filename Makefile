@@ -8,11 +8,11 @@ RACE_PKGS := ./internal/controller/... ./internal/cluster/... ./internal/faults/
 	./internal/placement/... ./internal/snat/... ./internal/shardplane/... \
 	./internal/xgwdpu/... ./internal/slo/... ./internal/sim/...
 
-.PHONY: check vet lint-metrics build test race chaos bench bench-all bench-smoke bench-smoke-mc fmt
+.PHONY: check vet lint-metrics build test race bench-check chaos bench bench-all bench-smoke bench-smoke-mc fmt
 
-## check: the full gate — vet, the metrics-name lint, build, tests, and the
-## race pass.
-check: vet lint-metrics build test race
+## check: the full gate — vet, the metrics-name lint, build, tests, the race
+## pass, and the benchmark harness's own vet and short tests.
+check: vet lint-metrics build test race bench-check
 
 vet:
 	$(GO) vet ./...
@@ -35,6 +35,12 @@ test:
 ## goroutines and hide races.
 race:
 	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
+
+## bench-check: bench/ is a module of its own, so nothing above compiles it;
+## an API break in a package the repo benchmark drives would otherwise show
+## only when the benchmark next runs. -short skips its workload smoke runs.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 ## chaos: run the seeded disaster-recovery scenario end to end.
 chaos:

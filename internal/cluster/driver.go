@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sailfish/internal/heavyhitter"
 	"sailfish/internal/metrics"
 	"sailfish/internal/netpkt"
 	"sailfish/internal/trace"
@@ -148,6 +149,9 @@ type jobBatch struct {
 type batchScratch struct {
 	nodes  []*Node
 	groups []*jobBatch
+	// obs collects the batch's steered packets for one heavy-hitter
+	// hand-off (one tracker lock per SubmitBatch, not per packet).
+	obs []heavyhitter.Observation
 }
 
 // resultBatch carries one processed jobBatch's outcomes from a worker to
@@ -335,6 +339,7 @@ func (d *Driver) getScratch() *batchScratch {
 func (d *Driver) putScratch(s *batchScratch) {
 	s.nodes = s.nodes[:0]
 	s.groups = s.groups[:0]
+	s.obs = s.obs[:0]
 	d.scratchPool.Put(s)
 }
 
@@ -369,8 +374,10 @@ func (d *Driver) drop(reason uint8, n uint64) {
 // hash — copies the bytes into a pooled buffer and fills j. It returns
 // dDropNone on success or the reason the packet is unroutable (the caller
 // accounts the counter; route itself emits the flight-recorder drop event,
-// which is always-on, and the sampled steered event on success).
-func (d *Driver) route(raw []byte, now time.Time, j *job) uint8 {
+// which is always-on, and the sampled steered event on success). With a
+// heavy-hitter tracker attached, the steered packet is appended to *obs for
+// the caller to hand over in one batch, or observed directly when obs is nil.
+func (d *Driver) route(raw []byte, now time.Time, j *job, obs *[]heavyhitter.Observation) uint8 {
 	var fm netpkt.FrontMeta
 	if err := netpkt.ParseFront(raw, &fm); err != nil {
 		d.traceDriverDrop(dDropParseError, 0, 0, 0, now)
@@ -399,7 +406,12 @@ func (d *Driver) route(raw []byte, now time.Time, j *job) uint8 {
 		return dDropNoHealthyPort
 	}
 	if hh := d.region.hh; hh != nil {
-		hh.Observe(clusterID, fm.VNI, flowHash, fm.Flow.Dst, fm.WireLen)
+		if obs != nil {
+			*obs = append(*obs, heavyhitter.Observation{Cluster: clusterID, VNI: fm.VNI,
+				FlowHash: flowHash, DIP: fm.Flow.Dst, WireLen: fm.WireLen})
+		} else {
+			hh.Observe(clusterID, fm.VNI, flowHash, fm.Flow.Dst, fm.WireLen)
+		}
 	}
 	if tr := d.region.tr; tr != nil && tr.Sampled(flowHash) {
 		tr.Record(trace.Event{TimeNs: now.UnixNano(), FlowHash: flowHash,
@@ -440,7 +452,7 @@ func (d *Driver) traceDropBatch(b *jobBatch, reason uint8) {
 // by reason. The raw slice is copied; callers may reuse their buffer.
 func (d *Driver) Submit(raw []byte, now time.Time) bool {
 	var j job
-	if reason := d.route(raw, now, &j); reason != dDropNone {
+	if reason := d.route(raw, now, &j, nil); reason != dDropNone {
 		d.drop(reason, 1)
 		return false
 	}
@@ -478,7 +490,7 @@ func (d *Driver) SubmitBatch(raws [][]byte, now time.Time) int {
 	s := d.getScratch()
 	for _, raw := range raws {
 		var j job
-		if reason := d.route(raw, now, &j); reason != dDropNone {
+		if reason := d.route(raw, now, &j, &s.obs); reason != dDropNone {
 			d.drop(reason, 1)
 			continue
 		}
@@ -496,6 +508,7 @@ func (d *Driver) SubmitBatch(raws [][]byte, now time.Time) int {
 		}
 		b.jobs = append(b.jobs, j)
 	}
+	d.region.hh.ObserveBatch(s.obs)
 	accepted := 0
 	d.mu.RLock()
 	if d.closed {

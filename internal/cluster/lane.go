@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"time"
 
 	"sailfish/internal/heavyhitter"
@@ -42,6 +43,9 @@ type Lane struct {
 	tr    *trace.Recorder
 	trDev uint16
 	hh    *heavyhitter.Tracker
+	// hhBuf holds the steered packets of the ProcessBatch call in flight
+	// until they are handed to hh under one lock; only that call touches it.
+	hhBuf [32]heavyhitter.Observation
 	slo   *slo.Collector
 }
 
@@ -181,13 +185,18 @@ func (ln *Lane) Process(raw []byte, now time.Time) (Result, error) {
 	if hh := ln.hh; hh != nil {
 		hh.Observe(clusterID, fm.VNI, flowHash, fm.Flow.Dst, fm.WireLen)
 	}
-	return ln.deliver(raw, fm.VNI, flowHash, clusterID, nodeIdx, now, nil)
+	var out Result
+	err = ln.deliver(&out, raw, fm.VNI, flowHash, clusterID, nodeIdx, now, nil)
+	return out, err
 }
 
 // deliver carries a routed packet into its cluster and, when steered there,
-// the XGW-x86 fallback pool. memo may be nil (single-shot path). vni is the
-// front parse's tenant id, carried along for flight-recorder events.
-func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, nodeIdx int, now time.Time, memo *clusterMemo) (Result, error) {
+// the XGW-x86 fallback pool, building the outcome in *out (overwritten on
+// every path, so a batch can point it at a recycled slot). memo may be nil
+// (single-shot path). vni is the front parse's tenant id, carried along for
+// flight-recorder events.
+func (ln *Lane) deliver(out *Result, raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, nodeIdx int, now time.Time, memo *clusterMemo) error {
+	*out = Result{}
 	r := ln.r
 	var disabled, degraded bool
 	var c *Cluster
@@ -205,16 +214,16 @@ func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, 
 	if disabled {
 		ln.ctr.dropped.Add(1)
 		ln.frontDrop(fDropClusterDisabled, flowHash, vni, now)
-		return Result{}, ErrClusterDisabled
+		return ErrClusterDisabled
 	}
 	if degraded {
 		// Graceful degradation: both main and backup impaired — the
 		// XGW-x86 pool carries the cluster's residual traffic.
-		out := Result{ClusterID: clusterID}
+		out.ClusterID = clusterID
 		if len(r.Fallback) == 0 {
 			ln.ctr.dropped.Add(1)
 			ln.frontDrop(fDropNoLiveNode, flowHash, vni, now)
-			return out, ErrNoLiveNodes
+			return ErrNoLiveNodes
 		}
 		ln.ctr.degraded.Add(1)
 		if s := ln.slo; s != nil {
@@ -225,25 +234,25 @@ func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, 
 		if ferr != nil {
 			ln.ctr.dropped.Add(1)
 			ln.frontDrop(fDropFallbackError, flowHash, vni, now)
-			return out, ferr
+			return ferr
 		}
-		out.GW = xgwh.ForwardResult{Action: xgwh.ActionFallback}
+		out.GW.Action = xgwh.ActionFallback
 		out.ViaFallback = true
 		out.FallbackOut = fres
-		return out, nil
+		return nil
 	}
 	live := c.LiveNodes()
 	if len(live) == 0 {
 		ln.ctr.dropped.Add(1)
 		ln.frontDrop(fDropNoLiveNode, flowHash, vni, now)
-		return Result{}, ErrNoLiveNodes
+		return ErrNoLiveNodes
 	}
 	node := live[nodeIdx%len(live)]
 	port, ok := node.PickPort(flowHash)
 	if !ok {
 		ln.ctr.dropped.Add(1)
 		ln.frontDrop(fDropNoHealthyPort, flowHash, vni, now)
-		return Result{}, ErrNoLiveNodes
+		return ErrNoLiveNodes
 	}
 	if tr := ln.tr; tr != nil && tr.Sampled(flowHash) {
 		// The steering hop of a sampled flow's timeline: which node the
@@ -253,9 +262,9 @@ func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, 
 	}
 	res, err := ln.processGW(node, raw, now)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	out := Result{ClusterID: clusterID, NodeID: node.ID, EgressPort: port, GW: res}
+	out.ClusterID, out.NodeID, out.EgressPort, out.GW = clusterID, node.ID, port, res
 	// The per-tenant SLO ledger mirrors every region counter site exactly
 	// (one increment beside each ctr.* add), so the two ledgers reconcile
 	// field-for-field — including the shared quirk that a pool error after
@@ -287,7 +296,7 @@ func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, 
 				if derr != nil {
 					ln.ctr.dropped.Add(1)
 					ln.frontDrop(fDropDPUError, flowHash, vni, now)
-					return out, nil
+					return nil
 				}
 				if served {
 					ln.ctr.dpuServed.Add(1)
@@ -296,7 +305,7 @@ func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, 
 					}
 					out.ViaDPU = true
 					out.DPUOut = dres
-					return out, nil
+					return nil
 				}
 			}
 			ln.ctr.fallbackMissX86.Add(1)
@@ -309,34 +318,41 @@ func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, 
 			sloCol.Fallback(vni)
 		}
 		if len(r.Fallback) == 0 {
-			return out, nil
+			return nil
 		}
 		fbIdx := int(flowHash % uint64(len(r.Fallback)))
 		fres, ferr := ln.processFallback(r.Fallback[fbIdx], fbIdx, raw, now)
 		if ferr != nil {
 			ln.ctr.dropped.Add(1)
 			ln.frontDrop(fDropFallbackError, flowHash, vni, now)
-			return out, nil
+			return nil
 		}
 		out.ViaFallback = true
 		out.FallbackOut = fres
 	}
-	return out, nil
+	return nil
 }
 
 // ProcessBatch runs a batch of raw packets through the lane in arrival
 // order, with the same steering/cluster-mode memoization as
 // Region.ProcessBatch (which is this method on the region's built-in lane).
+// Results are built in place in out, and the heavy-hitter tracker gets the
+// batch's steered packets in one hand-off at the end (or whenever hhBuf
+// fills) instead of one locked call per packet; arrival order is kept, so
+// the tracker ends in the state the per-packet path would leave.
 func (ln *Lane) ProcessBatch(raws [][]byte, now time.Time, out []BatchResult) []BatchResult {
 	r := ln.r
 	var steer steerMemo
 	var cmemo clusterMemo
-	for _, raw := range raws {
+	base, nObs := len(out), 0
+	out = slices.Grow(out, len(raws))[:base+len(raws)]
+	for i, raw := range raws {
+		br := &out[base+i]
 		var fm netpkt.FrontMeta
 		if err := netpkt.ParseFront(raw, &fm); err != nil {
 			ln.ctr.dropped.Add(1)
 			ln.frontDrop(fDropParseError, 0, 0, now)
-			out = append(out, BatchResult{Err: err})
+			*br = BatchResult{Err: err}
 			continue
 		}
 		flowHash := fm.Flow.FastHash()
@@ -357,7 +373,7 @@ func (ln *Lane) ProcessBatch(raws [][]byte, now time.Time, out []BatchResult) []
 			if err != nil {
 				ln.ctr.noRoute.Add(1)
 				ln.frontDrop(fDropNoRoute, flowHash, fm.VNI, now)
-				out = append(out, BatchResult{Err: err})
+				*br = BatchResult{Err: err}
 				continue
 			}
 			if cl, g, ramped, err := r.FrontEnd.RouteInfo(fm.VNI); err == nil && !ramped {
@@ -366,12 +382,18 @@ func (ln *Lane) ProcessBatch(raws [][]byte, now time.Time, out []BatchResult) []
 				steer.ok = false
 			}
 		}
-		if hh := ln.hh; hh != nil {
-			hh.Observe(clusterID, fm.VNI, flowHash, fm.Flow.Dst, fm.WireLen)
+		if ln.hh != nil {
+			if nObs == len(ln.hhBuf) {
+				ln.hh.ObserveBatch(ln.hhBuf[:])
+				nObs = 0
+			}
+			ln.hhBuf[nObs] = heavyhitter.Observation{Cluster: clusterID, VNI: fm.VNI,
+				FlowHash: flowHash, DIP: fm.Flow.Dst, WireLen: fm.WireLen}
+			nObs++
 		}
-		res, err := ln.deliver(raw, fm.VNI, flowHash, clusterID, nodeIdx, now, &cmemo)
-		out = append(out, BatchResult{Result: res, Err: err})
+		br.Err = ln.deliver(&br.Result, raw, fm.VNI, flowHash, clusterID, nodeIdx, now, &cmemo)
 	}
+	ln.hh.ObserveBatch(ln.hhBuf[:nObs])
 	return out
 }
 

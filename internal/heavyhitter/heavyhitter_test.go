@@ -303,12 +303,52 @@ func TestTrackerConcurrent(t *testing.T) {
 }
 
 // BenchmarkTrackerObserve is the per-packet feed the steering path pays
-// when heavy-hitter telemetry is on.
+// when heavy-hitter telemetry is on, in the two regimes that bound it:
+// ladder-zipf is the residency ladder's own traffic (Zipf(1.0) over 16384
+// route keys against k = 8190: mostly increments of tracked keys), and
+// evict-uniform is 65536 uniform keys against k = 1024, where nearly every
+// observation evicts.
 func BenchmarkTrackerObserve(b *testing.B) {
-	tr := NewTracker(1024)
-	dip := ip(7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Observe(0, netpkt.VNI(100+i%8), uint64(i%4096), dip, 100)
+	for _, bc := range []struct {
+		name    string
+		k, keys int
+		zipf    bool
+	}{
+		{"ladder-zipf-k8190", 8190, 16384, true},
+		{"evict-uniform-k1024", 1024, 65536, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			next := func() int { return r.Intn(bc.keys) }
+			if bc.zipf {
+				next = zipf1(r, bc.keys)
+			}
+			obs := make([]Observation, 1<<16)
+			for i := range obs {
+				k := next()
+				obs[i] = Observation{VNI: netpkt.VNI(100 + k%16), FlowHash: uint64(k) * 0x9e3779b97f4a7c15, DIP: ip(k), WireLen: 100}
+			}
+			tr := NewTracker(bc.k)
+			tr.ObserveBatch(obs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o := &obs[i&(len(obs)-1)]
+				tr.Observe(o.Cluster, o.VNI, o.FlowHash, o.DIP, o.WireLen)
+			}
+		})
 	}
+}
+
+// zipf1 draws ranks in [0, n) with P(rank r) proportional to 1/(r+1) —
+// exponent exactly 1, which rand.Zipf cannot produce — by inverting the
+// cumulative weights.
+func zipf1(r *rand.Rand, n int) func() int {
+	cum := make([]float64, n)
+	var sum float64
+	for i := range cum {
+		sum += 1 / float64(i+1)
+		cum[i] = sum
+	}
+	return func() int { return sort.SearchFloat64s(cum, r.Float64()*sum) }
 }

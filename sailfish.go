@@ -161,6 +161,9 @@ func (d *Deployment) AddTenant(t Tenant) (int, error) {
 			fb.VMNC.Insert(t.VNI, vm, nc)
 		}
 	}
+	if err := d.installServiceRoutes(t); err != nil {
+		return 0, err
+	}
 	id, err := d.Controller.PlaceTenant(te)
 	if err != nil {
 		return 0, err
@@ -189,7 +192,28 @@ func (d *Deployment) AddTenantSoftware(t Tenant) (int, error) {
 	for vm, nc := range t.VMs {
 		te.VMs = append(te.VMs, controller.VMEntry{VNI: t.VNI, VM: vm, NC: nc})
 	}
+	if err := d.installServiceRoutes(t); err != nil {
+		return 0, err
+	}
 	return d.Controller.PlaceTenantSoftware(te)
+}
+
+// installServiceRoutes gives a NeedsSNAT tenant its default routes on every
+// XGW-x86 node: hardware steers the tenant's traffic to the software pool,
+// and there anything outside the tenant's own prefixes is Internet-bound
+// and resolves to the SNAT service. Without them it would drop as no_route.
+func (d *Deployment) installServiceRoutes(t Tenant) error {
+	if !t.NeedsSNAT {
+		return nil
+	}
+	for _, fb := range d.Region.Fallback {
+		for _, all := range []string{"0.0.0.0/0", "::/0"} {
+			if err := fb.Routes.Insert(t.VNI, netip.MustParsePrefix(all), Route{Scope: ScopeService}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // DeliverVXLAN pushes one wire packet through the region using the wall

@@ -85,6 +85,12 @@ func TestDeploymentSNATTenant(t *testing.T) {
 	if res.GW.Action != ActionFallback {
 		t.Fatalf("SNAT tenant not steered to software: %+v", res.GW)
 	}
+	// AddTenant itself installs the tenant's default service route on the
+	// software pool, so the packet leaves de-tunneled and translated.
+	if !res.ViaFallback || !res.FallbackOut.ToInternet {
+		t.Fatalf("Internet-bound packet of a fresh SNAT tenant not translated: %+v (region drops %v)",
+			res.FallbackOut, d.Stats().Region.FrontDrops)
+	}
 }
 
 func TestDeploymentAutoExpand(t *testing.T) {
