@@ -11,7 +11,7 @@ RACE_PKGS := ./internal/controller/... ./internal/cluster/... ./internal/faults/
 .PHONY: check vet lint-metrics build test race bench-check chaos bench bench-all bench-smoke bench-smoke-mc fmt
 
 ## check: the full gate — vet, the metrics-name lint, build, tests, the race
-## pass, and the benchmark harness's own vet and short tests.
+## pass, and the benchmark harness's own vet and tests.
 check: vet lint-metrics build test race bench-check
 
 vet:
@@ -30,17 +30,19 @@ test:
 	$(GO) test ./...
 
 ## race: the concurrency gate. GOMAXPROCS=4 forces real interleaving for
-## the sharded data plane (shardplane workers, gw workers mode, driver)
-## even on single-core CI runners, where the default would serialize
-## goroutines and hide races.
+## the sharded data plane (shardplane workers, gw workers mode) even on
+## single-core CI runners, where the default would serialize goroutines and
+## hide races.
 race:
 	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
 
 ## bench-check: bench/ is a module of its own, so nothing above compiles it;
 ## an API break in a package the repo benchmark drives would otherwise show
-## only when the benchmark next runs. -short skips its workload smoke runs.
+## only when the benchmark next runs. The full tests include the workload
+## smoke runs: every in-process workload checked against the oracle, and the
+## real sailfish-gw driven over loopback.
 bench-check:
-	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## chaos: run the seeded disaster-recovery scenario end to end.
 chaos:
@@ -53,7 +55,7 @@ chaos:
 ##   go test -run '^$$' -bench BenchmarkRegionForward -benchmem -count 10 . > new.txt
 ##   benchstat old.txt new.txt
 bench:
-	$(GO) test -run '^$$' -bench 'RegionForward|DriverParallel' -benchmem . ./internal/cluster/
+	$(GO) test -run '^$$' -bench 'RegionForward' -benchmem .
 	$(GO) run ./cmd/fastpath-bench -o BENCH_fastpath.json
 
 ## bench-all: the full suite — every figure/table regeneration plus the fast path.

@@ -27,7 +27,7 @@ import (
 
 // registerMetrics builds the daemon's live registry: gateway and software
 // node counters (including every drop reason), the fallback ratio, and the
-// per-stage latency histograms that ProcessPacket starts observing once
+// per-stage latency histograms that the gateway starts observing once
 // attached.
 func (s *server) registerMetrics() *metrics.Registry {
 	reg := metrics.NewRegistry()
@@ -54,6 +54,8 @@ func (s *server) registerMetrics() *metrics.Registry {
 	for i, sh := range s.shards {
 		sh := sh
 		lbl := metrics.Labels{"shard": strconv.Itoa(i)}
+		reg.CounterFunc("sailfish_gw_shard_accepted_total", "datagrams enqueued to the shard ring", lbl,
+			sh.accepted.Load)
 		reg.CounterFunc("sailfish_gw_shard_processed_total", "datagrams run to completion by the worker", lbl,
 			sh.processed.Load)
 		reg.CounterFunc("sailfish_gw_shard_ring_full_total", "datagrams tail-dropped by a full shard ring", lbl,

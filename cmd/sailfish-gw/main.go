@@ -23,7 +23,6 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,7 +155,7 @@ type server struct {
 	pcap *pcap.Writer
 	// Observability planes, all wired at construction: the flight recorder
 	// (both gateways emit into it), the heavy-hitter tracker (fed per
-	// datagram from handle), and the Vtrace matcher/collector pair.
+	// datagram from forward), and the Vtrace matcher/collector pair.
 	rec       *trace.Recorder
 	hh        *heavyhitter.Tracker
 	matcher   *telemetry.Matcher
@@ -177,14 +176,13 @@ type server struct {
 	lastSLOTick time.Time
 	// lastSync throttles the SNAT standby replication pump.
 	lastSync time.Time
-	// Sharded mode (workers > 1): one gwShard per worker, the x86 software
-	// path serialized across them (its re-encap scratch is
-	// single-threaded), and a closed flag the dispatcher flips so workers
-	// drain and exit.
-	workers int
-	shards  []*gwShard
-	fbMu    sync.Mutex
-	closed  atomic.Bool
+	// Sharded mode (workers > 1): one gwShard per worker and a closed flag
+	// the dispatcher flips so workers drain and exit. fbMu serializes the
+	// software tiers (their re-encap scratch is single-threaded) in either
+	// mode.
+	shards []*gwShard
+	fbMu   sync.Mutex
+	closed atomic.Bool
 }
 
 // gwShard is one worker's share of the sharded data plane: a bounded SPSC
@@ -193,9 +191,10 @@ type server struct {
 type gwShard struct {
 	ring      *shardplane.Ring
 	sc        *xgwh.PacketScratch
-	processed atomic.Uint64
-	ringFull  atomic.Uint64
-	oversize  atomic.Uint64
+	accepted  atomic.Uint64 // dispatcher-side
+	ringFull  atomic.Uint64 // dispatcher-side
+	oversize  atomic.Uint64 // dispatcher-side
+	processed atomic.Uint64 // worker-side
 }
 
 func newServer(fc fileConfig) (*server, error) {
@@ -283,7 +282,6 @@ func newServer(fc fileConfig) (*server, error) {
 			"safe while one goroutine owns the data path; set workers to 1 or drop placement",
 			fc.Workers)
 	}
-	s.workers = fc.Workers
 	if fc.Workers > 1 {
 		s.shards = make([]*gwShard, fc.Workers)
 		for i := range s.shards {
@@ -322,291 +320,166 @@ const (
 	shardMaxFrame  = 10240
 )
 
-// serve is the receive loop: one goroutine, run-to-completion per datagram —
-// the chip processes packets one pipeline pass at a time, so a single loop
-// models it faithfully while the socket provides backpressure. With
-// workers > 1 the loop instead becomes the RSS dispatcher over per-worker
-// rings (serveSharded).
-func (s *server) serve() error {
-	if s.workers > 1 {
-		return s.serveSharded()
-	}
-	for {
-		n, _, err := s.conn.ReadFromUDP(s.buf[:])
-		if err != nil {
-			return err
-		}
-		if err := s.handle(s.buf[:n]); err != nil {
-			log.Printf("sailfish-gw: %v", err)
-		}
-	}
-}
-
-// serveSharded is the workers-mode receive loop: this goroutine plays the
-// NIC RSS stage, hashing each datagram's flow onto its shard's SPSC ring;
-// one worker goroutine per shard drains its ring run-to-completion through
-// a private gateway scratch. The dispatch hash is the flow hash, so a
-// flow's packets always land on one worker and per-flow state (SNAT, trace
+// serve is the receive loop. It reads the clock once per datagram, runs the
+// between-datagrams control hooks and synthesizes the outer headers, then
+// either runs the frame to completion itself (serial mode — the chip
+// processes packets one pipeline pass at a time, so a single loop models it
+// faithfully while the socket provides backpressure) or, with workers > 1,
+// plays the NIC RSS stage: it hashes the frame's flow onto its shard's SPSC
+// ring, and one worker goroutine per shard drains its ring run-to-completion
+// through a private gateway scratch. The dispatch hash is the flow hash, so
+// a flow's packets always land on one worker and per-flow state (SNAT, trace
 // sampling, heavy hitters) keeps affinity. A full ring tail-drops the
 // datagram, as a NIC RX queue would.
-func (s *server) serveSharded() error {
-	if s.pcap != nil {
+func (s *server) serve() error {
+	var sc *xgwh.PacketScratch
+	if len(s.shards) == 0 {
+		sc = xgwh.NewPacketScratch()
+	} else if s.pcap != nil {
 		return fmt.Errorf("pcap capture requires the serial data path; set workers to 1")
 	}
 	var wg sync.WaitGroup
 	for _, sh := range s.shards {
 		wg.Add(1)
-		go func(sh *gwShard) {
+		go func() {
 			defer wg.Done()
-			s.shardWorker(sh)
-		}(sh)
+			sh.ring.Consume(&s.closed, func(frame []byte, ns int64) {
+				// Counted before the emit: whoever has received a datagram
+				// sees it in processed.
+				sh.processed.Add(1)
+				if err := s.forward(sh.sc, frame, time.Unix(0, ns)); err != nil {
+					log.Printf("sailfish-gw: %v", err)
+				}
+			})
+		}()
 	}
-	var rerr error
+	// The dispatcher is the only producer: closed flips after its last
+	// push, then the workers drain their rings and exit.
+	defer wg.Wait()
+	defer s.closed.Store(true)
 	for {
 		n, _, err := s.conn.ReadFromUDP(s.buf[:])
 		if err != nil {
-			rerr = err
-			break
+			return err
 		}
-		// Placement is gated off in this mode; the cycle hook only pumps
-		// the SNAT standby sync, which the session store serializes itself.
-		s.maybeCycle(time.Now())
-		frame, err := s.synthesizeOuter(s.buf[:n])
-		if err != nil {
+		now := time.Now()
+		// Placement is gated off in workers mode; there the hook only pumps
+		// the SNAT standby sync and SLO ticks, which synchronize themselves.
+		s.maybeCycle(now)
+		if frame, err := s.synthesizeOuter(s.buf[:n]); err != nil {
 			log.Printf("sailfish-gw: %v", err)
-			continue
-		}
-		// Unparseable frames shard to 0 so the worker books the parse_error
-		// drop under the normal taxonomy, exactly as internal/shardplane
-		// dispatches for the region.
-		sh := s.shards[0]
-		var fm netpkt.FrontMeta
-		if perr := netpkt.ParseFront(frame, &fm); perr == nil {
-			sh = s.shards[shardplane.ShardIndex(fm.Flow.FastHash(), len(s.shards))]
-		}
-		if len(frame) > sh.ring.MaxPacket() {
-			sh.oversize.Add(1)
-			continue
-		}
-		if !sh.ring.Push(frame, time.Now().UnixNano()) {
-			sh.ringFull.Add(1)
-		}
-	}
-	s.closed.Store(true)
-	wg.Wait()
-	return rerr
-}
-
-// shardWorker drains one shard's ring until the dispatcher closes the
-// plane and the ring is empty. The idle backoff mirrors the shardplane
-// worker: spin briefly, then yield, then park — a loaded shard never
-// reaches the sleep tier.
-func (s *server) shardWorker(sh *gwShard) {
-	idle := 0
-	for {
-		frame, ns, ok := sh.ring.Peek()
-		if !ok {
-			if s.closed.Load() {
-				return
-			}
-			if idle++; idle < 64 {
-				continue
-			} else if idle < 256 {
-				runtime.Gosched()
-			} else {
-				time.Sleep(20 * time.Microsecond)
-			}
-			continue
-		}
-		idle = 0
-		if err := s.handleOn(sh, frame, time.Unix(0, ns)); err != nil {
+		} else if sc == nil {
+			s.dispatch(frame, now)
+		} else if err := s.forward(sc, frame, now); err != nil {
 			log.Printf("sailfish-gw: %v", err)
 		}
-		sh.ring.Advance()
-		sh.processed.Add(1)
 	}
 }
 
-// handleOn processes one synthesized frame on a shard worker: the same
-// pipeline as handle, entered through the shard's private scratch. The x86
-// software tail serializes across workers (its re-encap scratch is
-// single-threaded), as the region's shard lanes do.
-func (s *server) handleOn(sh *gwShard, frame []byte, now time.Time) error {
+// dispatch pushes one frame onto its flow's shard ring. Unparseable frames
+// shard to 0 so the worker books the parse_error drop under the normal
+// taxonomy, exactly as internal/shardplane dispatches for the region.
+func (s *server) dispatch(frame []byte, now time.Time) {
+	sh := s.shards[0]
 	var fm netpkt.FrontMeta
-	vni := netpkt.VNI(0)
-	if perr := netpkt.ParseFront(frame, &fm); perr == nil {
-		vni = fm.VNI
-		// The tracker locks internally; flow affinity keeps each flow's
-		// updates on one worker regardless.
-		s.hh.Observe(0, fm.VNI, fm.Flow.FastHash(), fm.Flow.Dst, fm.WireLen)
+	if netpkt.ParseFront(frame, &fm) == nil {
+		sh = s.shards[shardplane.ShardIndex(fm.Flow.FastHash(), len(s.shards))]
 	}
-	res, err := s.gw.ProcessPacketWith(sh.sc, frame, now)
-	if err != nil {
-		s.sloDrop(vni)
-		return err
-	}
-	switch res.Action {
-	case xgwh.ActionForward:
-		s.sloForward(vni)
-		return s.send(res.NC, res.Out)
-	case xgwh.ActionFallback:
-		// Hold the lock across the send: fres.Out (and the DPU tier's
-		// dres.Out) alias per-node re-encap scratch until the next pass.
-		// The DPU tier is nil in workers mode today (the placement stanza
-		// is incompatible with workers > 1), but the attempt sits inside
-		// the same critical section so the invariant survives if that
-		// gate is ever relaxed.
-		s.fbMu.Lock()
-		defer s.fbMu.Unlock()
-		if res.FallbackMiss {
-			s.sloFallbackMiss(vni)
-		}
-		if s.dpu != nil && res.FallbackMiss {
-			dres, served, derr := s.dpu.ProcessOn(s.dpuDevice(frame), frame, now)
-			if derr != nil {
-				s.sloDrop(vni)
-				return fmt.Errorf("dpu path: %w", derr)
-			}
-			if served {
-				s.sloDPUServed(vni)
-				return s.send(dres.NC, dres.Out)
-			}
-		}
-		fres, ferr := s.x86.ProcessFallback(frame, now)
-		if ferr != nil {
-			s.sloDrop(vni)
-			return fmt.Errorf("software path: %w", ferr)
-		}
-		s.sloFallback(vni, res.FallbackMiss)
-		return s.send(fres.NC, fres.Out)
+	switch {
+	case len(frame) > sh.ring.MaxPacket():
+		sh.oversize.Add(1)
+	case sh.ring.Push(frame, now.UnixNano()):
+		sh.accepted.Add(1)
 	default:
-		s.sloDrop(vni)
-		return fmt.Errorf("dropped: %s", res.DropReason)
+		sh.ringFull.Add(1)
 	}
 }
 
-// send strips the outer encapsulation from a rewritten frame and transmits
-// the VXLAN payload to the NC's underlay address. Safe for concurrent use:
-// the UDP socket serializes writes.
-func (s *server) send(nc netip.Addr, frame []byte) error {
-	ua := s.underlay[nc]
-	if ua == nil {
-		return fmt.Errorf("no underlay address for NC %v", nc)
-	}
-	out, err := vxlanPayload(frame)
-	if err != nil {
-		return err
-	}
-	_, err = s.conn.WriteToUDP(out, ua)
-	return err
-}
-
-// handle processes one VXLAN datagram (VXLAN header + inner frame).
-func (s *server) handle(payload []byte) error {
-	s.maybeCycle(time.Now())
-	frame, err := s.synthesizeOuter(payload)
-	if err != nil {
-		return err
-	}
+// forward runs one synthesized frame to completion on the given scratch —
+// serial mode passes the server's, each shard worker its own: XGW-H, then
+// for a hardware table miss the DPU warm tier and the XGW-x86 software node,
+// booking the SLO disposition on the way, and ends in the one emit tail —
+// pcap capture, then the VXLAN payload out to the NC's underlay address.
+func (s *server) forward(sc *xgwh.PacketScratch, frame []byte, now time.Time) error {
 	if s.pcap != nil {
-		if err := s.pcap.WritePacket(time.Now(), frame); err != nil {
+		if err := s.pcap.WritePacket(now, frame); err != nil {
 			return err
 		}
 	}
 	// Feed the heavy-hitter tracker from the front parse, as the region
-	// front end does (this daemon is one box, so cluster 0).
+	// front end does (this daemon is one box, so cluster 0). The tracker
+	// locks internally; flow affinity keeps each flow on one worker anyway.
 	var fm netpkt.FrontMeta
-	vni := netpkt.VNI(0)
-	if perr := netpkt.ParseFront(frame, &fm); perr == nil {
-		vni = fm.VNI
-		s.hh.Observe(0, fm.VNI, fm.Flow.FastHash(), fm.Flow.Dst, fm.WireLen)
+	vni, flowHash := netpkt.VNI(0), uint64(0)
+	if netpkt.ParseFront(frame, &fm) == nil {
+		vni, flowHash = fm.VNI, fm.Flow.FastHash()
+		s.hh.Observe(0, vni, flowHash, fm.Flow.Dst, fm.WireLen)
 	}
-	res, err := s.gw.ProcessPacket(frame, time.Now())
+	res, err := s.gw.ProcessPacketWith(sc, frame, now)
 	if err != nil {
 		s.sloDrop(vni)
 		return err
 	}
+	nc, out := res.NC, res.Out
 	switch res.Action {
 	case xgwh.ActionForward:
 		s.sloForward(vni)
-		ua := s.underlay[res.NC]
-		if ua == nil {
-			return fmt.Errorf("no underlay address for NC %v", res.NC)
-		}
-		// res.Out is the rewritten full frame; the UDP payload starts
-		// after outer Eth/IP/UDP.
-		if s.pcap != nil {
-			if err := s.pcap.WritePacket(time.Now(), res.Out); err != nil {
-				return err
-			}
-		}
-		out, err := vxlanPayload(res.Out)
-		if err != nil {
-			return err
-		}
-		_, err = s.conn.WriteToUDP(out, ua)
-		return err
 	case xgwh.ActionFallback:
-		// Three-tier ladder: a hardware table miss tries the DPU warm
-		// tier first; service-steered traffic (SNAT) skips it, since the
-		// stateful services live on x86 only.
-		if res.FallbackMiss {
-			s.sloFallbackMiss(vni)
-		}
-		if s.dpu != nil && res.FallbackMiss {
-			dres, served, derr := s.dpu.ProcessOn(s.dpuDevice(frame), frame, time.Now())
-			if derr != nil {
-				s.sloDrop(vni)
-				return fmt.Errorf("dpu path: %w", derr)
-			}
-			if served {
-				s.sloDPUServed(vni)
-				if s.pcap != nil {
-					if err := s.pcap.WritePacket(time.Now(), dres.Out); err != nil {
-						return err
-					}
-				}
-				return s.send(dres.NC, dres.Out)
-			}
-		}
-		// HW/SW co-design: the software node completes the long tail.
-		fres, ferr := s.x86.ProcessFallback(frame, time.Now())
-		if ferr != nil {
-			s.sloDrop(vni)
-			return fmt.Errorf("software path: %w", ferr)
-		}
-		s.sloFallback(vni, res.FallbackMiss)
-		ua := s.underlay[fres.NC]
-		if ua == nil {
-			return fmt.Errorf("no underlay address for NC %v", fres.NC)
-		}
-		if s.pcap != nil {
-			if err := s.pcap.WritePacket(time.Now(), fres.Out); err != nil {
-				return err
-			}
-		}
-		out, err := vxlanPayload(fres.Out)
-		if err != nil {
+		// The software tiers keep single-threaded re-encap scratch that their
+		// Out aliases until the next pass: hold the lock through the emit.
+		s.fbMu.Lock()
+		defer s.fbMu.Unlock()
+		if nc, out, err = s.software(frame, vni, flowHash, res.FallbackMiss, now); err != nil {
 			return err
 		}
-		_, err = s.conn.WriteToUDP(out, ua)
-		return err
 	default:
 		s.sloDrop(vni)
 		return fmt.Errorf("dropped: %s", res.DropReason)
 	}
+	ua := s.underlay[nc]
+	if ua == nil {
+		return fmt.Errorf("no underlay address for NC %v", nc)
+	}
+	if s.pcap != nil {
+		if err := s.pcap.WritePacket(now, out); err != nil {
+			return err
+		}
+	}
+	payload, err := vxlanPayload(out)
+	if err != nil {
+		return err
+	}
+	_, err = s.conn.WriteToUDP(payload, ua)
+	return err
 }
 
-// dpuDevice picks the warm-tier device for a frame by flow hash, the same
-// dispatch the region's lanes use, so a flow's DPU passes always land on
-// one device's scratch. Frames that reached the fallback tail parsed in
-// the gateway, so the front parse cannot fail here; 0 is a safe default.
-func (s *server) dpuDevice(frame []byte) int {
-	var fm netpkt.FrontMeta
-	if err := netpkt.ParseFront(frame, &fm); err != nil {
-		return 0
+// software completes a frame the hardware gateway punted. Three-tier ladder:
+// a hardware table miss tries the DPU warm tier first, on the device the
+// flow hashes to; service-steered traffic (SNAT) skips it, since the
+// stateful services live on x86 only. The caller holds fbMu.
+func (s *server) software(frame []byte, vni netpkt.VNI, flowHash uint64, miss bool, now time.Time) (netip.Addr, []byte, error) {
+	if miss {
+		s.sloFallbackMiss(vni)
+		if s.dpu != nil {
+			dres, served, err := s.dpu.ProcessOn(int(flowHash%uint64(s.dpu.Devices())), frame, now)
+			if err != nil {
+				s.sloDrop(vni)
+				return netip.Addr{}, nil, fmt.Errorf("dpu path: %w", err)
+			}
+			if served {
+				s.sloDPUServed(vni)
+				return dres.NC, dres.Out, nil
+			}
+		}
 	}
-	return int(fm.Flow.FastHash() % uint64(s.dpu.Devices()))
+	// HW/SW co-design: the software node completes the long tail.
+	fres, err := s.x86.ProcessFallback(frame, now)
+	if err != nil {
+		s.sloDrop(vni)
+		return netip.Addr{}, nil, fmt.Errorf("software path: %w", err)
+	}
+	s.sloFallback(vni, miss)
+	return fres.NC, fres.Out, nil
 }
 
 // synthesizeOuter wraps the datagram payload in the outer headers the

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -336,5 +337,87 @@ func TestShardedWorkersConfigGates(t *testing.T) {
 	srv.pcap = pcap.NewWriter(io.Discard)
 	if err := srv.serve(); err == nil {
 		t.Fatal("sharded serve with pcap accepted")
+	}
+}
+
+// Workers mode at shutdown: once the socket closes, every datagram the
+// dispatcher read is accounted for — run to completion by a worker, or
+// counted as a ring-full or oversize tail drop. The socket closes the moment
+// the last datagram has been read, while workers may be between an empty
+// poll and seeing the closed flag; a worker that exited there without
+// re-checking its ring would strand the last frames uncounted.
+func TestShardedShutdownAccountsEveryDatagram(t *testing.T) {
+	nc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	const datagrams = 64
+	var payloads [][]byte
+	for i := 0; i < datagrams; i++ {
+		sbuf := netpkt.NewSerializeBuffer(64, 512)
+		if err := netpkt.SerializeLayers(sbuf, []byte("drain"),
+			&netpkt.VXLAN{VNI: 100},
+			&netpkt.Ethernet{EtherType: netpkt.EtherTypeIPv4},
+			&netpkt.IPv4{TTL: 64, Protocol: netpkt.IPProtocolUDP,
+				SrcIP: netip.MustParseAddr("192.168.10.2"),
+				DstIP: netip.MustParseAddr("192.168.10.3")},
+			&netpkt.UDP{SrcPort: uint16(5000 + i), DstPort: 6000},
+		); err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, sbuf.Bytes())
+	}
+	for round := 0; round < 3; round++ {
+		srv, err := newServer(fileConfig{
+			GatewayIP: "10.255.0.1",
+			Listen:    "127.0.0.1:0",
+			Workers:   2,
+			Underlay:  map[string]string{"10.1.1.12": nc.LocalAddr().String()},
+			Tenants: []tenantConfig{{
+				VNI: 100, Prefix: "192.168.10.0/24",
+				VMs: map[string]string{"192.168.10.3": "10.1.1.12"},
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			srv.serve() //nolint:errcheck // returns when the socket closes
+		}()
+		client, err := net.DialUDP("udp", nil, srv.conn.LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range payloads {
+			if _, err := client.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		client.Close()
+		// read counts the datagrams the dispatcher has taken off the socket.
+		read := func() (n uint64) {
+			for _, sh := range srv.shards {
+				n += sh.accepted.Load() + sh.ringFull.Load() + sh.oversize.Load()
+			}
+			return n
+		}
+		for deadline := time.Now().Add(5 * time.Second); read() < datagrams; {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: dispatcher read %d of %d datagrams", round, read(), datagrams)
+			}
+			runtime.Gosched()
+		}
+		srv.conn.Close()
+		<-served
+		var accounted uint64
+		for _, sh := range srv.shards {
+			accounted += sh.processed.Load() + sh.ringFull.Load() + sh.oversize.Load()
+		}
+		if accounted != datagrams {
+			t.Fatalf("round %d: %d of %d datagrams accounted for after shutdown", round, accounted, datagrams)
+		}
 	}
 }

@@ -1,8 +1,8 @@
-// Loadtest drives a region's concurrent packet driver — one worker
-// goroutine per XGW-H, as each chip is an independent pipeline — with a
-// multi-flow packet storm, then reports the achieved rate, the per-node
-// ECMP spread, and the behavioral latency distribution of the folded
-// pipeline model.
+// Loadtest drives a region through the sharded data plane — flow-hash
+// dispatch onto one run-to-completion worker per node's worth of cores, as
+// each XGW-H chip is an independent pipeline — with a multi-flow packet
+// storm, then reports the achieved rate, the per-node ECMP spread, and the
+// behavioral latency distribution of the folded pipeline model.
 package main
 
 import (
@@ -10,11 +10,14 @@ import (
 	"fmt"
 	"log"
 	"net/netip"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"sailfish/internal/cluster"
 	"sailfish/internal/metrics"
 	"sailfish/internal/netpkt"
+	"sailfish/internal/shardplane"
 	"sailfish/internal/tables"
 )
 
@@ -53,39 +56,44 @@ func main() {
 		flows[i] = cp
 	}
 
-	d := cluster.NewDriver(region, 1024)
-	perNode := map[string]int{}
-	lat := metrics.NewHistogram([]float64{2100, 2150, 2200, 2300, 2500})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for dr := range d.Results() {
-			if dr.Err != nil {
-				log.Fatal(dr.Err)
+	// The sink runs on every shard worker at once: per-node counters are
+	// atomics in a map fixed before traffic starts.
+	perNode := map[string]*atomic.Uint64{}
+	for _, n := range c.Nodes {
+		perNode[n.ID] = new(atomic.Uint64)
+	}
+	lat := metrics.NewAtomicHistogram([]float64{2100, 2150, 2200, 2300, 2500})
+	plane := shardplane.New(region, shardplane.Config{
+		Shards:    *nodes,
+		RingSlots: 4096,
+		Sink: func(_ int, res cluster.Result, err error) {
+			if err != nil {
+				log.Fatal(err)
 			}
-			perNode[dr.Result.NodeID]++
-			lat.Observe(dr.Result.GW.LatencyNs)
-		}
-	}()
+			perNode[res.NodeID].Add(1)
+			lat.Observe(res.GW.LatencyNs)
+		},
+	})
 
 	start := time.Now()
 	now := time.Unix(0, 0)
 	for i := 0; i < *packets; i++ {
-		for !d.Submit(flows[i%len(flows)], now) {
+		for !plane.Submit(flows[i%len(flows)], now) {
+			runtime.Gosched() // ring full: let the workers drain
 		}
 	}
-	d.Close()
-	<-done
+	plane.Close()
 	elapsed := time.Since(start)
 
 	fmt.Printf("pushed %d packets through %d nodes in %v (%.0f kpps behavioral)\n",
 		*packets, *nodes, elapsed.Round(time.Millisecond),
 		float64(*packets)/elapsed.Seconds()/1000)
 	fmt.Println("per-node spread (ECMP):")
-	for id, n := range perNode {
-		fmt.Printf("  %-16s %7d (%.1f%%)\n", id, n, 100*float64(n)/float64(*packets))
+	for _, n := range c.Nodes {
+		got := perNode[n.ID].Load()
+		fmt.Printf("  %-16s %7d (%.1f%%)\n", n.ID, got, 100*float64(got)/float64(*packets))
 	}
 	fmt.Printf("modeled pipeline latency: mean %.0f ns, p50 ≤ %.0f ns, p99 ≤ %.0f ns\n",
-		lat.Mean(), lat.Quantile(0.5), lat.Quantile(0.99))
+		lat.Sum()/float64(lat.Count()), lat.Quantile(0.5), lat.Quantile(0.99))
 	fmt.Println("(each packet crossed 2 folded pipeline passes; the model's chip does 1.8 Gpps)")
 }

@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
-	"sailfish/internal/netpkt"
 	"sailfish/internal/xgwh"
 )
 
@@ -157,126 +154,4 @@ func TestNodePortCacheConsistency(t *testing.T) {
 		n.FailPort(p)
 	}
 	check() // all ports down: PickPort must report false
-}
-
-// TestDriverSubmitBatch covers the batched submission path end to end:
-// grouping per node, pooled buffer recycling, and result draining.
-func TestDriverSubmitBatch(t *testing.T) {
-	r := NewRegion(smallConfig(), 2, 0)
-	installTenant(t, r, 0, 100)
-	installTenant(t, r, 1, 101)
-	d := NewDriver(r, 64)
-
-	var raws [][]byte
-	for i := 0; i < 100; i++ {
-		b := netpkt.NewSerializeBuffer(128, 256)
-		raw, err := (&netpkt.BuildSpec{
-			VNI:      netpkt.VNI(100 + i%2),
-			OuterSrc: addr("10.1.1.11"), OuterDst: addr("10.255.0.1"),
-			InnerSrc: addr("192.168.0.1"), InnerDst: addr("192.168.0.5"),
-			Proto: netpkt.IPProtocolTCP, SrcPort: uint16(1000 + i), DstPort: 80,
-		}).Build(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raws = append(raws, append([]byte(nil), raw...))
-	}
-	// Unroutable packets must be skipped without poisoning the batch.
-	raws = append(raws, []byte{1, 2, 3}, buildPacket(t, 999, "192.168.0.1", "192.168.0.5"))
-
-	accepted := d.SubmitBatch(raws, time.Unix(0, 0))
-	if accepted != 100 {
-		t.Fatalf("accepted %d, want 100", accepted)
-	}
-	d.Close()
-	drained := 0
-	for dr := range d.Results() {
-		if dr.Err != nil {
-			t.Fatalf("driver error: %v", dr.Err)
-		}
-		if dr.Result.GW.Action != xgwh.ActionForward {
-			t.Fatalf("action = %v", dr.Result.GW.Action)
-		}
-		drained++
-	}
-	if drained != accepted {
-		t.Fatalf("drained %d results for %d accepted packets", drained, accepted)
-	}
-}
-
-// TestDriverSubmitBatchConcurrent hammers SubmitBatch from several
-// goroutines against a deliberately tiny queue so tail drops occur, then
-// verifies under -race that exactly the accepted packets surface as
-// results.
-func TestDriverSubmitBatchConcurrent(t *testing.T) {
-	r := NewRegion(smallConfig(), 2, 0)
-	installTenant(t, r, 0, 100)
-	installTenant(t, r, 1, 101)
-	d := NewDriver(r, 2) // tiny RX queues force overflow tail drops
-
-	const submitters = 4
-	const batches = 50
-	const batchSize = 32
-
-	var wg sync.WaitGroup
-	acceptedCh := make(chan int, submitters)
-	for g := 0; g < submitters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			raws := make([][]byte, batchSize)
-			accepted := 0
-			for bi := 0; bi < batches; bi++ {
-				for i := range raws {
-					b := netpkt.NewSerializeBuffer(128, 256)
-					raw, err := (&netpkt.BuildSpec{
-						VNI:      netpkt.VNI(100 + (g+i)%2),
-						OuterSrc: addr("10.1.1.11"), OuterDst: addr("10.255.0.1"),
-						InnerSrc: addr("192.168.0.1"), InnerDst: addr("192.168.0.5"),
-						Proto: netpkt.IPProtocolTCP, SrcPort: uint16(g*10000 + bi*batchSize + i), DstPort: 80,
-					}).Build(b)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					raws[i] = raw // aliases the builder's buffer: SubmitBatch must copy
-				}
-				accepted += d.SubmitBatch(raws, time.Unix(0, 0))
-			}
-			acceptedCh <- accepted
-		}(g)
-	}
-
-	drained := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for dr := range d.Results() {
-			if dr.Err != nil {
-				t.Errorf("driver error: %v", dr.Err)
-				return
-			}
-			drained++
-		}
-	}()
-
-	wg.Wait()
-	close(acceptedCh)
-	d.Close()
-	<-done
-
-	accepted := 0
-	for a := range acceptedCh {
-		accepted += a
-	}
-	total := submitters * batches * batchSize
-	if accepted == 0 || accepted > total {
-		t.Fatalf("accepted %d of %d submitted", accepted, total)
-	}
-	if accepted == total {
-		t.Logf("no tail drops occurred (queue never filled); drop path unexercised this run")
-	}
-	if drained != accepted {
-		t.Fatalf("drained %d results for %d accepted packets", drained, accepted)
-	}
 }

@@ -470,8 +470,8 @@ func (r *Region) EnableStageMetrics(sh *metrics.StageHistograms) { r.obs = sh }
 
 // Front-end drop-reason codes: the interned taxonomy for packets the region
 // kills before (or while) handing them to a gateway. Same discipline as the
-// xgwh and driver taxonomies — the data plane counts into a fixed array, the
-// names materialize only on the slow path.
+// xgwh taxonomy — the data plane counts into a fixed array, the names
+// materialize only on the slow path.
 const (
 	fDropNone uint8 = iota
 	fDropParseError
@@ -509,9 +509,9 @@ func FrontDropReasonNames() []string {
 // EnableTracing attaches the whole region to a flight recorder: the front
 // end, every main and backup gateway, and the fallback pool get interned
 // device ids, and each subsystem's drop taxonomy is registered under its
-// stage. Call before traffic starts (and before NewDriver), like every
-// other observer hookup; pass nil to detach the front end (nodes keep their
-// last recorder — detaching mid-flight is not a supported mode).
+// stage. Call before traffic starts, like every other observer hookup; pass
+// nil to detach the front end (nodes keep their last recorder — detaching
+// mid-flight is not a supported mode).
 func (r *Region) EnableTracing(rec *trace.Recorder) {
 	r.tr = rec
 	r.lane0.tr = rec
@@ -521,7 +521,6 @@ func (r *Region) EnableTracing(rec *trace.Recorder) {
 	r.trDev = rec.InternDevice("frontend")
 	r.lane0.trDev = r.trDev
 	rec.SetReasonNames(trace.StageFront, FrontDropReasonNames())
-	rec.SetReasonNames(trace.StageDriver, DriverDropReasonNames())
 	for _, c := range r.Clusters {
 		for _, half := range []*Cluster{c, c.Backup} {
 			if half == nil {
@@ -591,9 +590,9 @@ type RegionStats struct {
 	FrontDrops map[string]uint64
 }
 
-// regionCounters is the live atomic backing store for RegionStats: the
-// single-shot path, ProcessBatch, and every Driver worker/submitter
-// increment it concurrently, and Stats() reads it while traffic flows.
+// regionCounters is the live atomic backing store for RegionStats: a lane
+// increments its block while Stats(), ResetStats() and metric scrapes read
+// it from other goroutines.
 type regionCounters struct {
 	forwarded       atomic.Uint64
 	fallback        atomic.Uint64
@@ -719,12 +718,6 @@ func (r *Region) FailbackCluster(id int) bool {
 	return true
 }
 
-// RestoreCluster returns traffic to the main cluster.
-//
-// Deprecated: use FailbackCluster, which also reports whether the call
-// changed anything.
-func (r *Region) RestoreCluster(id int) { r.FailbackCluster(id) }
-
 // OnBackup reports whether the cluster is being served by its backup.
 func (r *Region) OnBackup(id int) bool { return r.activeBackup[id] }
 
@@ -820,16 +813,16 @@ type BatchResult struct {
 // group) and the cluster's mode (disabled/degraded/backup) are memoized
 // across consecutive same-VNI packets instead of being re-read from the
 // shared tables per packet. The memo is sound because delivery and
-// control-plane mutation never run concurrently (the same quiescence rule
-// the Driver documents); VNIs with an active migration ramp route per flow
-// and bypass the memo.
+// control-plane mutation never run concurrently (the quiescence contract
+// on Lane); VNIs with an active migration ramp route per flow and bypass
+// the memo.
 func (r *Region) ProcessBatch(raws [][]byte, now time.Time, out []BatchResult) []BatchResult {
 	return r.lane0.ProcessBatch(raws, now, out)
 }
 
 // Stats returns a snapshot of the region counters. Each cell is read
-// atomically, so the snapshot is exact per counter even while Driver workers
-// and submitters are incrementing concurrently.
+// atomically, so the snapshot is exact per counter even while the data path
+// is incrementing concurrently.
 func (r *Region) Stats() RegionStats {
 	return r.stats.snapshot()
 }

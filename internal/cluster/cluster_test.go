@@ -146,9 +146,9 @@ func TestClusterFailoverToBackup(t *testing.T) {
 	if !r.OnBackup(0) {
 		t.Fatal("failover state lost")
 	}
-	r.RestoreCluster(0)
+	r.FailbackCluster(0)
 	if r.OnBackup(0) {
-		t.Fatal("restore did not clear failover")
+		t.Fatal("failback did not clear failover")
 	}
 }
 

@@ -21,9 +21,14 @@ import (
 // the classic single-goroutine entry points; the sharded plane creates one
 // lane per shard and drives them concurrently — per-flow affinity comes from
 // the caller sharding by flow hash, and everything a lane touches outside
-// its own fields is either read-pure at traffic time (steering tables,
-// cluster modes — the same control-plane quiescence contract the Driver
-// documents) or internally synchronized (gateway tables, SNAT, counters).
+// its own fields is either read-pure at traffic time or internally
+// synchronized (gateway tables, SNAT, counters).
+//
+// Control-plane quiescence: steering assignments, ECMP groups, cluster modes
+// (enabled, degraded, failed over) and node/port health are read without
+// synchronization, so they may only change while no lane is carrying
+// traffic — as production drains a node before reprogramming it. Stats,
+// ResetStats and metric scrapes are atomic and safe at any time.
 //
 // Hardware gateways are entered through their per-lane PacketScratch, so N
 // lanes drive one chip model without serializing. Gateways wrapped by fault
@@ -155,61 +160,34 @@ func (ln *Lane) processDPU(dev int, raw []byte, now time.Time) (xgwdpu.ForwardRe
 	return ln.r.DPU.ProcessOn(dev, raw, now)
 }
 
-// Process carries one packet through the region on this lane: steering →
-// ECMP → XGW-H → (optionally) XGW-x86 fallback. Semantics and accounting are
-// identical to Region.ProcessPacket — which is this method on the region's
-// built-in lane.
+// Process carries one packet through the region on this lane as a batch of
+// one, so the single-shot and batched paths share one body. Semantics and
+// accounting are identical to Region.ProcessPacket — which is this method on
+// the region's built-in lane. The batch and its result live on the stack.
 func (ln *Lane) Process(raw []byte, now time.Time) (Result, error) {
-	r := ln.r
-	obs := r.obs
-	var t0 time.Time
-	if obs != nil {
-		t0 = time.Now()
-	}
-	var fm netpkt.FrontMeta
-	if err := netpkt.ParseFront(raw, &fm); err != nil {
-		ln.ctr.dropped.Add(1)
-		ln.frontDrop(fDropParseError, 0, 0, now)
-		return Result{}, err
-	}
-	flowHash := fm.Flow.FastHash()
-	clusterID, nodeIdx, err := r.FrontEnd.Route(fm.VNI, flowHash)
-	if err != nil {
-		ln.ctr.noRoute.Add(1)
-		ln.frontDrop(fDropNoRoute, flowHash, fm.VNI, now)
-		return Result{}, err
-	}
-	if obs != nil {
-		obs.Steer.Observe(float64(time.Since(t0).Nanoseconds()))
-	}
-	if hh := ln.hh; hh != nil {
-		hh.Observe(clusterID, fm.VNI, flowHash, fm.Flow.Dst, fm.WireLen)
-	}
-	var out Result
-	err = ln.deliver(&out, raw, fm.VNI, flowHash, clusterID, nodeIdx, now, nil)
-	return out, err
+	raws := [1][]byte{raw}
+	var out [1]BatchResult
+	ln.ProcessBatch(raws[:], now, out[:0])
+	return out[0].Result, out[0].Err
 }
 
 // deliver carries a routed packet into its cluster and, when steered there,
 // the XGW-x86 fallback pool, building the outcome in *out (overwritten on
-// every path, so a batch can point it at a recycled slot). memo may be nil
-// (single-shot path). vni is the front parse's tenant id, carried along for
-// flight-recorder events.
+// every path, so a batch can point it at a recycled slot). vni is the front
+// parse's tenant id, carried along for flight-recorder events.
 func (ln *Lane) deliver(out *Result, raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, nodeIdx int, now time.Time, memo *clusterMemo) error {
 	*out = Result{}
 	r := ln.r
 	var disabled, degraded bool
 	var c *Cluster
-	if memo != nil && memo.ok && memo.clusterID == clusterID {
+	if memo.ok && memo.clusterID == clusterID {
 		disabled, degraded, c = memo.disabled, memo.degraded, memo.serving
 	} else {
 		disabled = r.disabled[clusterID]
 		degraded = r.degraded[clusterID]
 		c = r.serving(clusterID)
-		if memo != nil {
-			*memo = clusterMemo{ok: true, clusterID: clusterID,
-				disabled: disabled, degraded: degraded, serving: c}
-		}
+		*memo = clusterMemo{ok: true, clusterID: clusterID,
+			disabled: disabled, degraded: degraded, serving: c}
 	}
 	if disabled {
 		ln.ctr.dropped.Add(1)
@@ -339,15 +317,22 @@ func (ln *Lane) deliver(out *Result, raw []byte, vni netpkt.VNI, flowHash uint64
 // Results are built in place in out, and the heavy-hitter tracker gets the
 // batch's steered packets in one hand-off at the end (or whenever hhBuf
 // fills) instead of one locked call per packet; arrival order is kept, so
-// the tracker ends in the state the per-packet path would leave.
+// the tracker ends in the state the per-packet path would leave. With stage
+// metrics attached, each steered packet's front parse + steering decision is
+// observed into the steer histogram.
 func (ln *Lane) ProcessBatch(raws [][]byte, now time.Time, out []BatchResult) []BatchResult {
 	r := ln.r
+	obs := r.obs
 	var steer steerMemo
 	var cmemo clusterMemo
 	base, nObs := len(out), 0
 	out = slices.Grow(out, len(raws))[:base+len(raws)]
 	for i, raw := range raws {
 		br := &out[base+i]
+		var t0 time.Time
+		if obs != nil {
+			t0 = time.Now()
+		}
 		var fm netpkt.FrontMeta
 		if err := netpkt.ParseFront(raw, &fm); err != nil {
 			ln.ctr.dropped.Add(1)
@@ -376,11 +361,17 @@ func (ln *Lane) ProcessBatch(raws [][]byte, now time.Time, out []BatchResult) []
 				*br = BatchResult{Err: err}
 				continue
 			}
-			if cl, g, ramped, err := r.FrontEnd.RouteInfo(fm.VNI); err == nil && !ramped {
-				steer.ok, steer.vni, steer.cluster, steer.group = true, fm.VNI, cl, g
-			} else {
-				steer.ok = false
+			// Memoize only when another packet follows: a batch of one
+			// (Lane.Process) must not pay for a RouteInfo it never reuses.
+			steer.ok = false
+			if i+1 < len(raws) {
+				if cl, g, ramped, err := r.FrontEnd.RouteInfo(fm.VNI); err == nil && !ramped {
+					steer = steerMemo{ok: true, vni: fm.VNI, cluster: cl, group: g}
+				}
 			}
+		}
+		if obs != nil {
+			obs.Steer.Observe(float64(time.Since(t0).Nanoseconds()))
 		}
 		if ln.hh != nil {
 			if nObs == len(ln.hhBuf) {

@@ -32,17 +32,6 @@ func TestFailoverFailbackIdempotent(t *testing.T) {
 	if r.FailbackCluster(0) {
 		t.Fatal("second failback must be a no-op")
 	}
-
-	// The deprecated alias keeps working and stays idempotent.
-	r.FailoverCluster(0)
-	r.RestoreCluster(0)
-	if r.OnBackup(0) {
-		t.Fatal("RestoreCluster alias did not fail back")
-	}
-	r.RestoreCluster(0)
-	if r.OnBackup(0) {
-		t.Fatal("repeated RestoreCluster flipped state")
-	}
 }
 
 // TestFailoverServesFromBackup: after failover the backup's tables answer

@@ -107,7 +107,7 @@ type nodeHealth struct {
 // runs rounds from a background goroutine. While the monitor is running it
 // owns region recovery mutations (failover, degradation, node isolation) —
 // other goroutines must not mutate the region or place tenants concurrently,
-// the same single-writer discipline the cluster driver documents.
+// the control-plane quiescence contract cluster.Lane documents.
 type Monitor struct {
 	mu    sync.Mutex
 	cfg   HealthConfig

@@ -13,7 +13,9 @@
 package shardplane
 
 import (
+	"runtime"
 	"sync/atomic"
+	"time"
 )
 
 // cacheLinePad keeps the producer- and consumer-owned ring positions on
@@ -135,4 +137,42 @@ func (r *Ring) Peek() (p []byte, nowNs int64, ok bool) {
 // Consumer side only.
 func (r *Ring) Advance() {
 	r.head.Store(r.head.Load() + 1)
+}
+
+// Consume is the run-to-completion drain loop of a ring's consumer: it hands
+// each frame and its packet clock to handle in arrival order, releasing the
+// slot once handle returns (the frame is valid only during the call), and
+// backs off when the ring is empty — spin, then yield, then park, so an idle
+// consumer doesn't burn its core while a loaded one never reaches the sleep
+// tier. It returns once closed is set and the ring is empty. The producer
+// must set closed only after its last Push; a push can then land between a
+// failed Peek and the consumer observing closed, so the ring is re-checked
+// once after closed is seen and no frame is ever stranded. Consumer side
+// only.
+func (r *Ring) Consume(closed *atomic.Bool, handle func(p []byte, nowNs int64)) {
+	idle := 0
+	for {
+		p, ns, ok := r.Peek()
+		if !ok {
+			if closed.Load() {
+				if _, _, again := r.Peek(); again {
+					continue
+				}
+				return
+			}
+			idle++
+			switch {
+			case idle < 64:
+				// spin: the producer is usually mid-burst
+			case idle < 256:
+				runtime.Gosched()
+			default:
+				time.Sleep(20 * time.Microsecond)
+			}
+			continue
+		}
+		idle = 0
+		handle(p, ns)
+		r.Advance()
+	}
 }

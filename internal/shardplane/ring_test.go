@@ -3,6 +3,8 @@ package shardplane
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -94,5 +96,35 @@ func TestRingPeekAliasesUntilAdvance(t *testing.T) {
 	r.Advance()
 	if _, _, ok := r.Peek(); ok {
 		t.Fatal("ring should be empty after advance")
+	}
+}
+
+// TestConsumeDrainsPushRacingClose races the producer's last push and its
+// closed flip against a consumer polling an empty ring, round after round:
+// Consume must hand over every pushed frame before it returns, including
+// one that lands between a failed poll and the consumer seeing closed.
+func TestConsumeDrainsPushRacingClose(t *testing.T) {
+	frame := []byte{1, 2, 3}
+	for round := 0; round < 20000; round++ {
+		r := NewRing(4, 8)
+		var closed atomic.Bool
+		var handled atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r.Consume(&closed, func([]byte, int64) { handled.Add(1) })
+		}()
+		// Wait until the consumer has drained a first frame, so the last
+		// push and the closed flip below race its polling of an empty ring.
+		r.Push(frame, 0)
+		for handled.Load() == 0 {
+			runtime.Gosched()
+		}
+		r.Push(frame, 0)
+		closed.Store(true)
+		<-done
+		if n := handled.Load(); n != 2 {
+			t.Fatalf("round %d: consumer handled %d of 2 frames pushed before close", round, n)
+		}
 	}
 }

@@ -408,7 +408,7 @@ func TestShardedStatsParityMixedWorkload(t *testing.T) {
 // TestShardedDropParityAcrossStages extends the cross-stage drop-accounting
 // reconciliation to the sharded path: every drop tallied across the
 // per-shard flight recorders must appear in the owning subsystem's counters
-// with the same count and vice versa — front, driver, gateway and fallback
+// with the same count and vice versa — front, gateway, fallback and DPU
 // stages, with traffic delivered through a 4-shard plane.
 func TestShardedDropParityAcrossStages(t *testing.T) {
 	r, raws := buildParityWorld(t)
@@ -445,30 +445,9 @@ func TestShardedDropParityAcrossStages(t *testing.T) {
 	fb.Routes.Insert(42, pfx("192.168.0.0/16"), tables.Route{Scope: tables.ScopeLocal})
 	fb.ProcessFallback(buildFlowPacket(t, 42, "192.168.0.1", "192.168.0.9", 999), t0()) //nolint:errcheck // no_vm
 
-	// Driver stage: a second region shares shard 0's recorder, so driver
-	// drops flow into the same merged tally the plane scrapes.
 	recs := p.Recorders()
 	if len(recs) != 4 {
 		t.Fatalf("recorders: %d, want 4", len(recs))
-	}
-	rD := cluster.NewRegion(smallConfig(), 2, 0)
-	installTenant(t, rD, 0, 100)
-	installTenant(t, rD, 1, 101)
-	rD.SetClusterEnabled(1, false)
-	rD.EnableTracing(recs[0])
-	d := cluster.NewDriver(rD, 64)
-	rawsD := [][]byte{
-		buildFlowPacket(t, 100, "192.168.0.1", "192.168.0.5", 999),
-		buildFlowPacket(t, 101, "192.168.0.1", "192.168.0.5", 999), // cluster_disabled
-		buildFlowPacket(t, 999, "192.168.0.1", "192.168.0.5", 999), // no_route
-		{1, 2, 3}, // parse_error
-	}
-	d.SubmitBatch(rawsD, t0())
-	d.Close()
-	for range d.Results() {
-	}
-	if d.Submit(rawsD[0], t0()) { // driver_closed
-		t.Fatal("Submit accepted after Close")
 	}
 
 	// DPU stage: a three-tier region shares shard 0's recorder. One tenant
@@ -518,12 +497,10 @@ func TestShardedDropParityAcrossStages(t *testing.T) {
 		stage trace.Stage
 		want  map[string]uint64
 	}{
-		{trace.StageFront, sumReasons(p.Stats().Region.FrontDrops, rD.Stats().FrontDrops)},
-		{trace.StageDriver, nonzero(d.Stats().DropReasons)},
+		{trace.StageFront, sumReasons(p.Stats().Region.FrontDrops)},
 		{trace.StageGateway, func() map[string]uint64 {
-			_, _, a := gwTotals(r)
-			_, _, b := gwTotals(rD)
-			return sumReasons(a, b)
+			_, _, reasons := gwTotals(r)
+			return reasons
 		}()},
 		{trace.StageFallback, func() map[string]uint64 {
 			m := map[string]uint64{}

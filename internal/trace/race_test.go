@@ -48,7 +48,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 				if i%3 == 0 {
 					v, code = VerdictDrop, uint8(i%4+1)
 				}
-				r.Record(Event{TimeNs: int64(i), FlowHash: h, VNI: 100, Stage: StageDriver, Verdict: v, Code: code})
+				r.Record(Event{TimeNs: int64(i), FlowHash: h, VNI: 100, Stage: StageFallback, Verdict: v, Code: code})
 			}
 		}(w)
 	}
@@ -59,7 +59,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 	for {
 		var sum uint64
 		for code := uint8(1); code <= 4; code++ {
-			sum += r.DropTally(StageDriver, code)
+			sum += r.DropTally(StageFallback, code)
 		}
 		want := uint64(writers) * uint64((perW+2)/3)
 		if sum == want {
@@ -74,7 +74,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 
 	// Post-quiescence, every surviving record must be internally coherent.
 	for _, ev := range r.Snapshot() {
-		if ev.Stage != StageDriver || ev.VNI != 100 {
+		if ev.Stage != StageFallback || ev.VNI != 100 {
 			t.Fatalf("torn record: %+v", ev)
 		}
 		if (ev.Verdict == VerdictDrop) != (ev.Code != 0) {

@@ -65,12 +65,12 @@ func TestWrapKeepsDropTallies(t *testing.T) {
 	r := New(Config{Shards: 1, SlotsPerShard: 8})
 	const total = 100
 	for i := 0; i < total; i++ {
-		r.Record(Event{TimeNs: int64(i), Stage: StageDriver, Verdict: VerdictDrop, Code: 1})
+		r.Record(Event{TimeNs: int64(i), Stage: StageFallback, Verdict: VerdictDrop, Code: 1})
 	}
 	if got := len(r.Snapshot()); got != 8 {
 		t.Fatalf("ring should hold exactly its capacity after wrap, got %d", got)
 	}
-	if n := r.DropTally(StageDriver, 1); n != total {
+	if n := r.DropTally(StageFallback, 1); n != total {
 		t.Fatalf("cumulative tally = %d, want %d", n, total)
 	}
 	// The survivors must be the newest records.
