@@ -8,11 +8,16 @@ RACE_PKGS := ./internal/controller/... ./internal/cluster/... ./internal/faults/
 	./internal/placement/... ./internal/snat/... ./internal/shardplane/... \
 	./internal/xgwdpu/... ./internal/slo/... ./internal/sim/...
 
-.PHONY: check vet lint-metrics build test race bench-check chaos bench bench-all bench-smoke bench-smoke-mc fmt
+.PHONY: check fmtcheck vet lint-metrics build test race bench-check chaos bench bench-all bench-smoke bench-smoke-mc fmt
 
-## check: the full gate — vet, the metrics-name lint, build, tests, the race
-## pass, and the benchmark harness's own vet and tests.
-check: vet lint-metrics build test race bench-check
+## check: the full gate — formatting, vet, the metrics-name lint, build,
+## tests, the race pass, and the benchmark harness's own vet and tests.
+check: fmtcheck vet lint-metrics build test race bench-check
+
+## fmtcheck: every tracked Go file is gofmt-clean. Listing through git keeps
+## build output such as .bench_build/ out of the scan.
+fmtcheck:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 vet:
 	$(GO) vet ./...

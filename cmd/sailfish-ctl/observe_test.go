@@ -20,7 +20,6 @@ import (
 func fakeAdmin(t *testing.T) *httptest.Server {
 	t.Helper()
 	rec := trace.New(trace.Config{Shards: 1, SlotsPerShard: 64, SampleShift: 4})
-	rec.SetReasonNames(trace.StageGateway, []string{"parse_error", "meter_exceeded"})
 	dev := rec.InternDevice("xgwh-0")
 	rec.Record(trace.Event{TimeNs: 100, FlowHash: 0xabc, VNI: 100, Dev: dev,
 		Stage: trace.StageGateway, Verdict: trace.VerdictForward})

@@ -53,7 +53,7 @@ func BuildTrace(rec *trace.Recorder, f trace.Filter) TraceResponse {
 			Verdict:  ev.Verdict.String(),
 		}
 		if ev.Code != 0 {
-			te.Reason = rec.ReasonName(ev.Stage, ev.Code)
+			te.Reason = ev.Code.String()
 		}
 		out.Events = append(out.Events, te)
 	}

@@ -468,50 +468,19 @@ type Region struct {
 // before submitting traffic; pass nil to detach.
 func (r *Region) EnableStageMetrics(sh *metrics.StageHistograms) { r.obs = sh }
 
-// Front-end drop-reason codes: the interned taxonomy for packets the region
-// kills before (or while) handing them to a gateway. Same discipline as the
-// xgwh taxonomy — the data plane counts into a fixed array, the names
-// materialize only on the slow path.
-const (
-	fDropNone uint8 = iota
-	fDropParseError
-	fDropNoRoute
-	fDropClusterDisabled
-	fDropNoLiveNode
-	fDropNoHealthyPort
-	fDropFallbackError
-	fDropDPUError
-	numFrontDropReasons
-)
-
-// frontDropName maps a front-end drop code to its stable external name.
-var frontDropName = [numFrontDropReasons]string{
-	fDropNone:            "",
-	fDropParseError:      "parse_error",
-	fDropNoRoute:         "no_route",
-	fDropClusterDisabled: "cluster_disabled",
-	fDropNoLiveNode:      "no_live_node",
-	fDropNoHealthyPort:   "no_healthy_port",
-	fDropFallbackError:   "fallback_error",
-	fDropDPUError:        "dpu_error",
-}
-
-// FrontDropReasonNames returns the stable taxonomy of front-end drop
-// reasons, in code order.
-func FrontDropReasonNames() []string {
-	out := make([]string, 0, numFrontDropReasons-1)
-	for code := 1; code < int(numFrontDropReasons); code++ {
-		out = append(out, frontDropName[code])
-	}
-	return out
-}
+// FrontDropReasons is the subset of the trace reason space the region front
+// end emits for packets it kills before (or while) handing them to a
+// gateway, in code order: the keys of RegionStats.FrontDrops and the reason
+// labels of sailfish_region_front_drops_total. Read-only.
+var FrontDropReasons = []trace.Reason{trace.ReasonParseError, trace.ReasonNoRoute,
+	trace.ReasonClusterDisabled, trace.ReasonNoLiveNode, trace.ReasonNoHealthyPort,
+	trace.ReasonFallbackError, trace.ReasonDPUError}
 
 // EnableTracing attaches the whole region to a flight recorder: the front
-// end, every main and backup gateway, and the fallback pool get interned
-// device ids, and each subsystem's drop taxonomy is registered under its
-// stage. Call before traffic starts, like every other observer hookup; pass
-// nil to detach the front end (nodes keep their last recorder — detaching
-// mid-flight is not a supported mode).
+// end, every main and backup gateway, the fallback pool and the DPU devices
+// get interned device ids. Call before traffic starts, like every other
+// observer hookup; pass nil to detach the front end (nodes keep their last
+// recorder — detaching mid-flight is not a supported mode).
 func (r *Region) EnableTracing(rec *trace.Recorder) {
 	r.tr = rec
 	r.lane0.tr = rec
@@ -520,7 +489,6 @@ func (r *Region) EnableTracing(rec *trace.Recorder) {
 	}
 	r.trDev = rec.InternDevice("frontend")
 	r.lane0.trDev = r.trDev
-	rec.SetReasonNames(trace.StageFront, FrontDropReasonNames())
 	for _, c := range r.Clusters {
 		for _, half := range []*Cluster{c, c.Backup} {
 			if half == nil {
@@ -584,9 +552,8 @@ type RegionStats struct {
 	// Degraded counts packets carried by the XGW-x86 pool because their
 	// cluster was in degraded mode (both main and backup impaired).
 	Degraded uint64
-	// FrontDrops breaks the front end's own kills down by interned reason
-	// (parse_error, no_route, cluster_disabled, no_live_node,
-	// no_healthy_port, fallback_error).
+	// FrontDrops breaks the front end's own kills down by reason, one key
+	// per FrontDropReasons entry.
 	FrontDrops map[string]uint64
 }
 
@@ -602,7 +569,7 @@ type regionCounters struct {
 	dropped         atomic.Uint64
 	noRoute         atomic.Uint64
 	degraded        atomic.Uint64
-	frontDrops      [numFrontDropReasons]atomic.Uint64
+	frontDrops      [trace.NumReasons]atomic.Uint64
 }
 
 // NewRegion builds a region with the given number of main clusters (each
@@ -912,10 +879,9 @@ func (r *Region) RegisterMetrics(reg *metrics.Registry) {
 		r.HardwareCoverage)
 	reg.GaugeFunc("sailfish_region_stack_coverage", "share of route-resolved packets served by XGW-H plus the DPU tier", nil,
 		r.StackCoverage)
-	for code := 1; code < int(numFrontDropReasons); code++ {
-		c := &r.stats.frontDrops[code]
+	for _, code := range FrontDropReasons {
 		reg.CounterFunc("sailfish_region_front_drops_total", "front-end drops by reason",
-			metrics.Labels{"reason": frontDropName[code]}, c.Load)
+			metrics.Labels{"reason": code.String()}, r.stats.frontDrops[code].Load)
 	}
 	for _, c := range r.Clusters {
 		cl := c

@@ -65,9 +65,9 @@ func (r *Region) NewLane() *Lane {
 // EnableTracing points the lane's events (front-end steering/drops and the
 // gateway verdicts processed through this lane's scratch) at rec. The
 // recorder must already be wired into the region with Region.EnableTracing —
-// that call interns every device and registers each stage's taxonomy, so
-// per-shard recorders built in the same order intern identical id tables and
-// their tallies merge by summation (trace.MergeDropCounts).
+// that call interns every device, so per-shard recorders built in the same
+// order intern identical id tables and their tallies merge by summation
+// (trace.MergeDropCounts).
 func (ln *Lane) EnableTracing(rec *trace.Recorder) {
 	ln.tr = rec
 	if rec != nil {
@@ -92,32 +92,28 @@ func (ln *Lane) Stats() RegionStats { return ln.ctr.snapshot() }
 // its lanes with.
 func (ln *Lane) AddStatsInto(dst *RegionStats) {
 	if dst.FrontDrops == nil {
-		dst.FrontDrops = make(map[string]uint64, numFrontDropReasons-1)
+		dst.FrontDrops = make(map[string]uint64, len(FrontDropReasons))
 	}
 	ln.ctr.addInto(dst)
 }
 
-// frontDrop books a front-end drop under its interned reason and emits the
-// always-on flight-recorder event. The per-tenant SLO ledger books every
-// front-drop reason as tenant loss — including no_route, which the region's
-// own ledger counts beside dropped rather than inside it: from the tenant's
+// frontDrop books a front-end drop: the region's dropped total (no_route
+// counts beside it, in noRoute), its reason cell, the tenant's SLO loss and
+// the always-on flight-recorder event. The per-tenant SLO ledger books every
+// front-drop reason as tenant loss — including no_route: from the tenant's
 // side a packet with no steering rule is a lost packet.
-func (ln *Lane) frontDrop(code uint8, flowHash uint64, vni netpkt.VNI, now time.Time) {
+func (ln *Lane) frontDrop(code trace.Reason, flowHash uint64, vni netpkt.VNI, now time.Time) {
+	if code == trace.ReasonNoRoute {
+		ln.ctr.noRoute.Add(1)
+	} else {
+		ln.ctr.dropped.Add(1)
+	}
 	ln.ctr.frontDrops[code].Add(1)
 	if s := ln.slo; s != nil {
 		s.Drop(vni)
 	}
-	if tr := ln.tr; tr != nil {
-		tr.Record(trace.Event{
-			TimeNs:   now.UnixNano(),
-			FlowHash: flowHash,
-			VNI:      vni,
-			Dev:      ln.trDev,
-			Stage:    trace.StageFront,
-			Verdict:  trace.VerdictDrop,
-			Code:     code,
-		})
-	}
+	ln.tr.Emit(trace.Event{TimeNs: now.UnixNano(), FlowHash: flowHash, VNI: vni, Dev: ln.trDev,
+		Stage: trace.StageFront, Verdict: trace.VerdictDrop, Code: code})
 }
 
 // processGW enters a cluster node's gateway. Hardware gateways take the
@@ -137,7 +133,7 @@ func (ln *Lane) processGW(node *Node, raw []byte, now time.Time) (xgwh.ForwardRe
 }
 
 // processFallback completes a steered packet on the fallback pool node the
-// flow hashes to. XGW-x86 nodes keep a single-threaded reencap scratch, so
+// flow hashes to. XGW-x86 nodes keep a single-threaded encap scratch, so
 // shard lanes serialize per node.
 func (ln *Lane) processFallback(fb *xgw86.Node, idx int, raw []byte, now time.Time) (xgw86.FallbackResult, error) {
 	if ln.serial {
@@ -190,8 +186,7 @@ func (ln *Lane) deliver(out *Result, raw []byte, vni netpkt.VNI, flowHash uint64
 			disabled: disabled, degraded: degraded, serving: c}
 	}
 	if disabled {
-		ln.ctr.dropped.Add(1)
-		ln.frontDrop(fDropClusterDisabled, flowHash, vni, now)
+		ln.frontDrop(trace.ReasonClusterDisabled, flowHash, vni, now)
 		return ErrClusterDisabled
 	}
 	if degraded {
@@ -199,8 +194,7 @@ func (ln *Lane) deliver(out *Result, raw []byte, vni netpkt.VNI, flowHash uint64
 		// XGW-x86 pool carries the cluster's residual traffic.
 		out.ClusterID = clusterID
 		if len(r.Fallback) == 0 {
-			ln.ctr.dropped.Add(1)
-			ln.frontDrop(fDropNoLiveNode, flowHash, vni, now)
+			ln.frontDrop(trace.ReasonNoLiveNode, flowHash, vni, now)
 			return ErrNoLiveNodes
 		}
 		ln.ctr.degraded.Add(1)
@@ -210,8 +204,7 @@ func (ln *Lane) deliver(out *Result, raw []byte, vni netpkt.VNI, flowHash uint64
 		fbIdx := int(flowHash % uint64(len(r.Fallback)))
 		fres, ferr := ln.processFallback(r.Fallback[fbIdx], fbIdx, raw, now)
 		if ferr != nil {
-			ln.ctr.dropped.Add(1)
-			ln.frontDrop(fDropFallbackError, flowHash, vni, now)
+			ln.frontDrop(trace.ReasonFallbackError, flowHash, vni, now)
 			return ferr
 		}
 		out.GW.Action = xgwh.ActionFallback
@@ -221,21 +214,19 @@ func (ln *Lane) deliver(out *Result, raw []byte, vni netpkt.VNI, flowHash uint64
 	}
 	live := c.LiveNodes()
 	if len(live) == 0 {
-		ln.ctr.dropped.Add(1)
-		ln.frontDrop(fDropNoLiveNode, flowHash, vni, now)
+		ln.frontDrop(trace.ReasonNoLiveNode, flowHash, vni, now)
 		return ErrNoLiveNodes
 	}
 	node := live[nodeIdx%len(live)]
 	port, ok := node.PickPort(flowHash)
 	if !ok {
-		ln.ctr.dropped.Add(1)
-		ln.frontDrop(fDropNoHealthyPort, flowHash, vni, now)
+		ln.frontDrop(trace.ReasonNoHealthyPort, flowHash, vni, now)
 		return ErrNoLiveNodes
 	}
-	if tr := ln.tr; tr != nil && tr.Sampled(flowHash) {
+	if tr := ln.tr; tr != nil {
 		// The steering hop of a sampled flow's timeline: which node the
 		// front end picked, before the gateway's own verdict event.
-		tr.Record(trace.Event{TimeNs: now.UnixNano(), FlowHash: flowHash,
+		tr.Emit(trace.Event{TimeNs: now.UnixNano(), FlowHash: flowHash,
 			VNI: vni, Dev: node.trDev, Stage: trace.StageFront, Verdict: trace.VerdictSteered})
 	}
 	res, err := ln.processGW(node, raw, now)
@@ -272,8 +263,7 @@ func (ln *Lane) deliver(out *Result, raw []byte, vni netpkt.VNI, flowHash uint64
 				dev := int(flowHash % uint64(dpu.Devices()))
 				dres, served, derr := ln.processDPU(dev, raw, now)
 				if derr != nil {
-					ln.ctr.dropped.Add(1)
-					ln.frontDrop(fDropDPUError, flowHash, vni, now)
+					ln.frontDrop(trace.ReasonDPUError, flowHash, vni, now)
 					return nil
 				}
 				if served {
@@ -301,8 +291,7 @@ func (ln *Lane) deliver(out *Result, raw []byte, vni netpkt.VNI, flowHash uint64
 		fbIdx := int(flowHash % uint64(len(r.Fallback)))
 		fres, ferr := ln.processFallback(r.Fallback[fbIdx], fbIdx, raw, now)
 		if ferr != nil {
-			ln.ctr.dropped.Add(1)
-			ln.frontDrop(fDropFallbackError, flowHash, vni, now)
+			ln.frontDrop(trace.ReasonFallbackError, flowHash, vni, now)
 			return nil
 		}
 		out.ViaFallback = true
@@ -335,8 +324,7 @@ func (ln *Lane) ProcessBatch(raws [][]byte, now time.Time, out []BatchResult) []
 		}
 		var fm netpkt.FrontMeta
 		if err := netpkt.ParseFront(raw, &fm); err != nil {
-			ln.ctr.dropped.Add(1)
-			ln.frontDrop(fDropParseError, 0, 0, now)
+			ln.frontDrop(trace.ReasonParseError, 0, 0, now)
 			*br = BatchResult{Err: err}
 			continue
 		}
@@ -356,8 +344,7 @@ func (ln *Lane) ProcessBatch(raws [][]byte, now time.Time, out []BatchResult) []
 			var err error
 			clusterID, nodeIdx, err = r.FrontEnd.Route(fm.VNI, flowHash)
 			if err != nil {
-				ln.ctr.noRoute.Add(1)
-				ln.frontDrop(fDropNoRoute, flowHash, fm.VNI, now)
+				ln.frontDrop(trace.ReasonNoRoute, flowHash, fm.VNI, now)
 				*br = BatchResult{Err: err}
 				continue
 			}
@@ -399,10 +386,10 @@ func (c *regionCounters) snapshot() RegionStats {
 		Dropped:         c.dropped.Load(),
 		NoRoute:         c.noRoute.Load(),
 		Degraded:        c.degraded.Load(),
-		FrontDrops:      make(map[string]uint64, numFrontDropReasons-1),
+		FrontDrops:      make(map[string]uint64, len(FrontDropReasons)),
 	}
-	for code := 1; code < int(numFrontDropReasons); code++ {
-		s.FrontDrops[frontDropName[code]] = c.frontDrops[code].Load()
+	for _, code := range FrontDropReasons {
+		s.FrontDrops[code.String()] = c.frontDrops[code].Load()
 	}
 	return s
 }
@@ -418,8 +405,8 @@ func (c *regionCounters) addInto(dst *RegionStats) {
 	dst.Dropped += c.dropped.Load()
 	dst.NoRoute += c.noRoute.Load()
 	dst.Degraded += c.degraded.Load()
-	for code := 1; code < int(numFrontDropReasons); code++ {
-		dst.FrontDrops[frontDropName[code]] += c.frontDrops[code].Load()
+	for _, code := range FrontDropReasons {
+		dst.FrontDrops[code.String()] += c.frontDrops[code].Load()
 	}
 }
 

@@ -180,8 +180,8 @@ func TestRegionRegisterMetricsExposition(t *testing.T) {
 		`sailfish_cluster_water_level{cluster="0"}`,
 		"sailfish_region_fallback_ratio 0",
 	}
-	for _, reason := range FrontDropReasonNames() {
-		want = append(want, `sailfish_region_front_drops_total{reason="`+reason+`"}`)
+	for _, code := range FrontDropReasons {
+		want = append(want, `sailfish_region_front_drops_total{reason="`+code.String()+`"}`)
 	}
 	for _, w := range want {
 		if !strings.Contains(body, w) {

@@ -11,6 +11,8 @@ import (
 	"sailfish/internal/netpkt"
 	"sailfish/internal/tables"
 	"sailfish/internal/trace"
+	"sailfish/internal/xgw86"
+	"sailfish/internal/xgwdpu"
 	"sailfish/internal/xgwh"
 )
 
@@ -48,6 +50,54 @@ func sumReasons(ms ...map[string]uint64) map[string]uint64 {
 		}
 	}
 	return nonzero(out)
+}
+
+// TestDropReasonSpace pins the one reason space every stage books into:
+// each tier's subset by name and code order (the metrics label order and
+// the Stats key set), unique non-empty names, no code that no tier emits,
+// and a visible name for a code outside the space.
+func TestDropReasonSpace(t *testing.T) {
+	tiers := []struct {
+		tier    string
+		reasons []trace.Reason
+		want    []string
+	}{
+		{"front", FrontDropReasons, []string{"parse_error", "no_route", "cluster_disabled",
+			"no_live_node", "no_healthy_port", "fallback_error", "dpu_error"}},
+		{"gateway", xgwh.DropReasons, []string{"parse_error", "meter_exceeded", "route_loop",
+			"acl_deny", "fallback_rate_limit", "no_nc"}},
+		{"fallback", xgw86.DropReasons, []string{"parse_error", "no_route", "no_vm",
+			"not_ipv4", "snat_exhausted", "no_session"}},
+		{"dpu", xgwdpu.DropReasons, []string{"parse_error"}},
+	}
+	emitted := map[trace.Reason]bool{}
+	for _, tc := range tiers {
+		var got []string
+		for i, code := range tc.reasons {
+			if i > 0 && code <= tc.reasons[i-1] {
+				t.Errorf("%s: %v out of code order", tc.tier, code)
+			}
+			got = append(got, code.String())
+			emitted[code] = true
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s reasons = %v, want %v", tc.tier, got, tc.want)
+		}
+	}
+	seen := map[string]bool{}
+	for code := trace.Reason(1); code < trace.NumReasons; code++ {
+		name := code.String()
+		if name == "" || strings.HasPrefix(name, "code(") || seen[name] {
+			t.Errorf("code %d: name %q empty, unnamed or duplicated", code, name)
+		}
+		seen[name] = true
+		if !emitted[code] {
+			t.Errorf("%v: no tier emits it", code)
+		}
+	}
+	if got := trace.Reason(trace.NumReasons).String(); got != fmt.Sprintf("code(%d)", trace.NumReasons) {
+		t.Errorf("code outside the space = %q", got)
+	}
 }
 
 // TestDropParityAcrossStages is the drop-accounting reconciliation the
@@ -187,7 +237,7 @@ func TestDropParityAcrossStages(t *testing.T) {
 		if ev.Verdict != trace.VerdictDrop || ev.Code == 0 {
 			t.Fatalf("non-drop event in DropsOnly view: %+v", ev)
 		}
-		if name := rec.ReasonName(ev.Stage, ev.Code); strings.HasPrefix(name, "code(") {
+		if name := ev.Code.String(); strings.HasPrefix(name, "code(") {
 			t.Fatalf("unresolvable reason for %+v", ev)
 		}
 	}

@@ -95,20 +95,20 @@ func TestParseFrontMatchesFullParserOnMutations(t *testing.T) {
 	innerIP := vxlan + VXLANHeaderLen + EthernetHeaderLen
 	innerTCP := innerIP + IPv4HeaderLen
 	edits := []func(b []byte){
-		func(b []byte) { binary.BigEndian.PutUint16(b[12:14], 0x0806) },          // outer ARP
-		func(b []byte) { b[outerIP] = 0x65 },                                     // outer bad version
-		func(b []byte) { b[outerIP+9] = byte(IPProtocolTCP) },                    // outer not UDP
-		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+2:], 9999) },      // not VXLAN port
-		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 3) },         // absurd UDP length
-		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 0xFFFF) },    // oversize UDP length
-		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 12) },        // UDP length hides VXLAN
-		func(b []byte) { b[vxlan] = 0 },                                          // cleared I flag
+		func(b []byte) { binary.BigEndian.PutUint16(b[12:14], 0x0806) },                    // outer ARP
+		func(b []byte) { b[outerIP] = 0x65 },                                               // outer bad version
+		func(b []byte) { b[outerIP+9] = byte(IPProtocolTCP) },                              // outer not UDP
+		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+2:], 9999) },                // not VXLAN port
+		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 3) },                   // absurd UDP length
+		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 0xFFFF) },              // oversize UDP length
+		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 12) },                  // UDP length hides VXLAN
+		func(b []byte) { b[vxlan] = 0 },                                                    // cleared I flag
 		func(b []byte) { binary.BigEndian.PutUint16(b[vxlan+VXLANHeaderLen+12:], 0x86DD) }, // inner says v6, bytes are v4
-		func(b []byte) { b[innerIP] = 0x45 - 0x20 },                              // inner bad version
-		func(b []byte) { binary.BigEndian.PutUint16(b[innerIP+2:], 10) },         // inner TotalLength < IHL
-		func(b []byte) { binary.BigEndian.PutUint16(b[innerIP+2:], 24) },         // inner TotalLength truncates TCP
-		func(b []byte) { b[innerTCP+12] = 0x10 },                                 // TCP dataOff < 5
-		func(b []byte) { b[innerTCP+12] = 0xF0 },                                 // TCP dataOff beyond segment
+		func(b []byte) { b[innerIP] = 0x45 - 0x20 },                                        // inner bad version
+		func(b []byte) { binary.BigEndian.PutUint16(b[innerIP+2:], 10) },                   // inner TotalLength < IHL
+		func(b []byte) { binary.BigEndian.PutUint16(b[innerIP+2:], 24) },                   // inner TotalLength truncates TCP
+		func(b []byte) { b[innerTCP+12] = 0x10 },                                           // TCP dataOff < 5
+		func(b []byte) { b[innerTCP+12] = 0xF0 },                                           // TCP dataOff beyond segment
 	}
 	for _, edit := range edits {
 		m := append([]byte(nil), base...)

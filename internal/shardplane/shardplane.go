@@ -384,8 +384,8 @@ func (p *Plane) RegisterMetrics(reg *metrics.Registry) {
 			}
 			return fwd / denom
 		})
-	for _, reason := range cluster.FrontDropReasonNames() {
-		name := reason
+	for _, code := range cluster.FrontDropReasons {
+		name := code.String()
 		reg.CounterFunc("sailfish_region_front_drops_total", "front-end drops by reason",
 			metrics.Labels{"reason": name},
 			func() uint64 { return p.Stats().Region.FrontDrops[name] })

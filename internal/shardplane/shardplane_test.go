@@ -342,7 +342,8 @@ func TestShardedStatsParityMixedWorkload(t *testing.T) {
 	if st.Region.Forwarded == 0 || st.Region.Degraded == 0 || st.Region.FallbackMiss == 0 {
 		t.Fatalf("workload lost coverage: %+v", st.Region)
 	}
-	for _, reason := range cluster.FrontDropReasonNames() {
+	for _, code := range cluster.FrontDropReasons {
+		reason := code.String()
 		if reason == "dpu_error" {
 			// Needs a DPU-attached region and a frame the light front
 			// parse accepts but the full parser rejects — not reachable
@@ -533,7 +534,7 @@ func TestShardedDropParityAcrossStages(t *testing.T) {
 		if ev.Verdict != trace.VerdictDrop || ev.Code == 0 {
 			t.Fatalf("non-drop event in DropsOnly view: %+v", ev)
 		}
-		if name := recs[0].ReasonName(ev.Stage, ev.Code); strings.HasPrefix(name, "code(") {
+		if name := ev.Code.String(); strings.HasPrefix(name, "code(") {
 			t.Fatalf("unresolvable reason for %+v", ev)
 		}
 	}

@@ -315,13 +315,13 @@ type TenantStatus struct {
 
 // Status is the engine-wide snapshot behind /slo.
 type Status struct {
-	TimeNs       int64
-	LossBudget   float64
-	FastWindowNs int64
-	SlowWindowNs int64
+	TimeNs            int64
+	LossBudget        float64
+	FastWindowNs      int64
+	SlowWindowNs      int64
 	FastBurnThreshold float64
 	SlowBurnThreshold float64
-	Ticks        uint64
+	Ticks             uint64
 
 	// LatencyP50Ns/LatencyP99Ns come from the attached stage histograms
 	// (pipeline stage, gateway-global — stage clocks are not per-tenant).

@@ -143,6 +143,34 @@ func (t *VXLANRoutingTable) Resolve(vni netpkt.VNI, addr netip.Addr) (netpkt.VNI
 	return v, r, err
 }
 
+// ErrNoVM reports a local-scope route whose destination VM has no VM-NC
+// mapping.
+var ErrNoVM = errors.New("tables: no VM-NC mapping")
+
+// ResolveNC is the software tiers' lookup: route (peer chains followed),
+// then by scope the NC the packet leaves toward — the VM's host from vms for
+// a local route, the tunnel endpoint for a remote one. It returns the VNI
+// that holds the destination and the route's scope; a service-scope route
+// resolves to no NC, leaving the SNAT steer to the caller. On a route miss
+// or loop the error is Resolve's and the VNI is the packet's own; on a VM
+// miss it is ErrNoVM and the VNI is the resolved one.
+func ResolveNC(routes *VXLANRoutingTable, vms *VMNCTable, vni netpkt.VNI, dst netip.Addr) (netpkt.VNI, Scope, netip.Addr, error) {
+	final, r, err := routes.Resolve(vni, dst)
+	if err != nil {
+		return vni, r.Scope, netip.Addr{}, err
+	}
+	switch r.Scope {
+	case ScopeLocal:
+		if nc, ok := vms.Lookup(final, dst); ok {
+			return final, r.Scope, nc, nil
+		}
+		return final, r.Scope, netip.Addr{}, ErrNoVM
+	case ScopeRemote:
+		return final, r.Scope, r.Tunnel, nil
+	}
+	return final, r.Scope, netip.Addr{}, nil
+}
+
 // ResolveN is Resolve plus the number of table lookups consumed: each Peer
 // hop beyond the first is a recirculation on the hardware, costing an extra
 // pipeline pass.

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -159,5 +160,49 @@ func TestTCAMClearAndWalk(t *testing.T) {
 	}
 	if _, ok := tc.Lookup([]byte{1, 5}); ok {
 		t.Fatal("cleared TCAM matched")
+	}
+}
+
+// TestResolveNC pins the software tiers' shared lookup: the NC per scope,
+// and which VNI comes back with each miss — the packet's own on a route
+// miss (even one reached through a peer hop), the resolved one on a VM miss.
+func TestResolveNC(t *testing.T) {
+	routes, vms := NewVXLANRoutingTable(), NewVMNCTable()
+	pfx := netip.MustParsePrefix
+	for _, r := range []struct {
+		vni    netpkt.VNI
+		prefix string
+		route  Route
+	}{
+		{100, "10.1.0.0/16", Route{Scope: ScopePeer, NextHopVNI: 200}},
+		{100, "10.2.0.0/16", Route{Scope: ScopeRemote, Tunnel: netip.MustParseAddr("198.51.100.1")}},
+		{100, "10.3.0.0/16", Route{Scope: ScopeService}},
+		{100, "10.4.0.0/16", Route{Scope: ScopePeer, NextHopVNI: 300}},
+		{200, "10.1.0.0/16", Route{Scope: ScopeLocal}},
+	} {
+		if err := routes.Insert(r.vni, pfx(r.prefix), r.route); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vms.Insert(200, netip.MustParseAddr("10.1.0.5"), netip.MustParseAddr("100.64.0.5"))
+	for _, tc := range []struct {
+		dst     string
+		vni     netpkt.VNI
+		scope   Scope
+		nc      string
+		wantErr error
+	}{
+		{"10.1.0.5", 200, ScopeLocal, "100.64.0.5", nil},
+		{"10.1.0.6", 200, ScopeLocal, "", ErrNoVM},
+		{"10.2.0.1", 100, ScopeRemote, "198.51.100.1", nil},
+		{"10.3.0.1", 100, ScopeService, "", nil},
+		{"10.4.0.1", 100, 0, "", ErrNoRoute},
+		{"10.9.0.1", 100, 0, "", ErrNoRoute},
+	} {
+		vni, scope, nc, err := ResolveNC(routes, vms, 100, netip.MustParseAddr(tc.dst))
+		if !errors.Is(err, tc.wantErr) || vni != tc.vni || (err == nil && scope != tc.scope) ||
+			(tc.nc != "" && nc != netip.MustParseAddr(tc.nc)) || (tc.nc == "" && nc.IsValid()) {
+			t.Errorf("%s: got vni %d scope %v nc %v err %v", tc.dst, vni, scope, nc, err)
+		}
 	}
 }

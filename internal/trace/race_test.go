@@ -44,9 +44,9 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				h := uint64(w)<<32 | uint64(i)
 				v := VerdictForward
-				var code uint8
+				var code Reason
 				if i%3 == 0 {
-					v, code = VerdictDrop, uint8(i%4+1)
+					v, code = VerdictDrop, Reason(i%4+1)
 				}
 				r.Record(Event{TimeNs: int64(i), FlowHash: h, VNI: 100, Stage: StageFallback, Verdict: v, Code: code})
 			}
@@ -58,7 +58,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 	// readers once every writer's drops are visible in the tallies.
 	for {
 		var sum uint64
-		for code := uint8(1); code <= 4; code++ {
+		for code := Reason(1); code <= 4; code++ {
 			sum += r.DropTally(StageFallback, code)
 		}
 		want := uint64(writers) * uint64((perW+2)/3)

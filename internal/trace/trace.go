@@ -91,9 +91,49 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("verdict(%d)", uint8(v))
 }
 
-// maxReasons bounds per-stage drop-reason codes (codes are 1-based and every
-// subsystem in the tree is well under this today).
-const maxReasons = 16
+// Reason is a drop-reason code: one interned space shared by every stage,
+// so a code names the same reason wherever it is booked. 0 means none; a
+// drop event always carries a nonzero code. Each stage emits a subset (its
+// package lists it), and the codes keep each stage's own relative order.
+type Reason uint8
+
+const (
+	ReasonParseError Reason = 1 + iota
+	ReasonNoRoute
+	ReasonClusterDisabled
+	ReasonNoLiveNode
+	ReasonNoHealthyPort
+	ReasonFallbackError
+	ReasonDPUError
+	ReasonMeterExceeded
+	ReasonRouteLoop
+	ReasonACLDeny
+	ReasonFallbackRateLimit
+	ReasonNoNC
+	ReasonNoVM
+	ReasonNotIPv4
+	ReasonSNATExhausted
+	ReasonNoSession
+
+	// NumReasons is one past the highest code: the length of every array
+	// indexed by Reason.
+	NumReasons = iota + 1
+)
+
+var reasonName = [NumReasons]string{"",
+	"parse_error", "no_route", "cluster_disabled", "no_live_node",
+	"no_healthy_port", "fallback_error", "dpu_error", "meter_exceeded",
+	"route_loop", "acl_deny", "fallback_rate_limit", "no_nc", "no_vm",
+	"not_ipv4", "snat_exhausted", "no_session"}
+
+// String returns the reason's stable external name ("parse_error", ...):
+// the metrics label, the Stats map key and the flight-recorder name.
+func (c Reason) String() string {
+	if c > 0 && c < NumReasons {
+		return reasonName[c]
+	}
+	return fmt.Sprintf("code(%d)", uint8(c))
+}
 
 // Event is one flight-recorder record. It packs into three 64-bit words:
 //
@@ -107,7 +147,7 @@ type Event struct {
 	Dev      uint16     // interned device id (see InternDevice)
 	Stage    Stage
 	Verdict  Verdict
-	Code     uint8 // stage-local drop reason; 0 unless Verdict is drop
+	Code     Reason // drop reason; 0 unless Verdict is drop
 }
 
 func (e Event) pack() (w0, w1, w2 uint64) {
@@ -126,7 +166,7 @@ func unpack(w0, w1, w2 uint64) Event {
 		Dev:      uint16(w2 >> 16),
 		Stage:    Stage(w2 >> 12 & 0xf),
 		Verdict:  Verdict(w2 >> 8 & 0xf),
-		Code:     uint8(w2),
+		Code:     Reason(w2),
 	}
 }
 
@@ -169,14 +209,13 @@ type Recorder struct {
 	shift      uint
 
 	// Cumulative drop tallies, immune to ring wrap (see package comment).
-	dropTally [numStages][maxReasons]atomic.Uint64
+	dropTally [numStages][NumReasons]atomic.Uint64
 
-	// Interning tables: written at wiring time, read at query time, never
-	// touched by Record.
-	mu      sync.Mutex
-	devs    []string // index = device id; devs[0] = ""
-	devIdx  map[string]uint16
-	reasons [numStages][]string // reasons[st][i] names code i+1
+	// The device interning table: written at wiring time, read at query
+	// time, never touched by Record.
+	mu     sync.Mutex
+	devs   []string // index = device id; devs[0] = ""
+	devIdx map[string]uint16
 }
 
 func ceilPow2(n, def int) int {
@@ -226,14 +265,13 @@ func (r *Recorder) Sampled(flowHash uint64) bool {
 }
 
 // Record appends an event. Lock-free, allocation-free, safe from any number
-// of goroutines; a no-op on a nil recorder. Callers gate forward-path events
-// on Sampled themselves (so the hash computation can be skipped when tracing
-// is off); drop events should be recorded unconditionally.
+// of goroutines; a no-op on a nil recorder. Stages record verdicts through
+// Emit, which applies the sampling rule; Record itself records every event.
 func (r *Recorder) Record(ev Event) {
 	if r == nil {
 		return
 	}
-	if ev.Verdict == VerdictDrop && int(ev.Stage) < numStages && ev.Code < maxReasons {
+	if ev.Verdict == VerdictDrop && int(ev.Stage) < numStages && ev.Code < NumReasons {
 		r.dropTally[ev.Stage][ev.Code].Add(1)
 	}
 	// Shard on high hash bits: independent of the low bits sampling keys on,
@@ -247,6 +285,15 @@ func (r *Recorder) Record(ev Event) {
 	s.w[1].Store(w1)
 	s.w[2].Store(w2)
 	s.seq.Store(pos*2 + 2) // even: stable
+}
+
+// Emit records a stage verdict under the sampling rule: a drop always, any
+// other verdict only when its flow hash is Sampled. A no-op on a nil
+// recorder.
+func (r *Recorder) Emit(ev Event) {
+	if r != nil && (ev.Verdict == VerdictDrop || ev.FlowHash&r.sampleMask == 0) {
+		r.Record(ev)
+	}
 }
 
 // Filter selects events for Events. The zero Filter matches everything
@@ -318,7 +365,7 @@ func (r *Recorder) Snapshot() []Event { return r.Events(Filter{}) }
 // DropCount is one cumulative (stage, reason) drop cell.
 type DropCount struct {
 	Stage  Stage
-	Code   uint8
+	Code   Reason
 	Reason string
 	Count  uint64
 }
@@ -326,63 +373,31 @@ type DropCount struct {
 // DropCounts returns the nonzero cumulative drop tallies in stage order.
 // Unlike Events, these never wrap, so they reconcile exactly against the
 // stats plane's per-reason counters.
-func (r *Recorder) DropCounts() []DropCount {
-	if r == nil {
-		return nil
-	}
-	var out []DropCount
-	for st := Stage(1); st < numStages; st++ {
-		for code := 0; code < maxReasons; code++ {
-			n := r.dropTally[st][code].Load()
-			if n == 0 {
-				continue
-			}
-			out = append(out, DropCount{
-				Stage:  st,
-				Code:   uint8(code),
-				Reason: r.ReasonName(st, uint8(code)),
-				Count:  n,
-			})
-		}
-	}
-	return out
-}
+func (r *Recorder) DropCounts() []DropCount { return MergeDropCounts(r) }
 
 // MergeDropCounts sums cumulative drop tallies across recorders — the
 // scrape-side view of a sharded plane where each shard records into its own
-// recorder. Reason names resolve through the first non-nil recorder; shard
-// recorders are wired with identical taxonomies (same SetReasonNames calls
-// in the same order), so any of them names every cell. Nil recorders are
-// skipped.
+// recorder — and returns the nonzero cells in stage, then code, order. Nil
+// recorders are skipped.
 func MergeDropCounts(recs ...*Recorder) []DropCount {
-	var named *Recorder
-	var tally [numStages][maxReasons]uint64
+	var tally [numStages][NumReasons]uint64
 	for _, r := range recs {
 		if r == nil {
 			continue
 		}
-		if named == nil {
-			named = r
-		}
 		for st := Stage(1); st < numStages; st++ {
-			for code := 0; code < maxReasons; code++ {
+			for code := range tally[st] {
 				tally[st][code] += r.dropTally[st][code].Load()
 			}
 		}
 	}
 	var out []DropCount
 	for st := Stage(1); st < numStages; st++ {
-		for code := 0; code < maxReasons; code++ {
-			n := tally[st][code]
+		for code, n := range tally[st] {
 			if n == 0 {
 				continue
 			}
-			out = append(out, DropCount{
-				Stage:  st,
-				Code:   uint8(code),
-				Reason: named.ReasonName(st, uint8(code)),
-				Count:  n,
-			})
+			out = append(out, DropCount{Stage: st, Code: Reason(code), Reason: Reason(code).String(), Count: n})
 		}
 	}
 	return out
@@ -412,8 +427,8 @@ func MergeEvents(f Filter, recs ...*Recorder) []Event {
 
 // DropTally returns one cumulative cell directly (test hook for parity
 // checks).
-func (r *Recorder) DropTally(st Stage, code uint8) uint64 {
-	if r == nil || int(st) >= numStages || code >= maxReasons {
+func (r *Recorder) DropTally(st Stage, code Reason) uint64 {
+	if r == nil || int(st) >= numStages || code >= NumReasons {
 		return 0
 	}
 	return r.dropTally[st][code].Load()
@@ -448,30 +463,4 @@ func (r *Recorder) DeviceName(id uint16) string {
 		return r.devs[id]
 	}
 	return "?"
-}
-
-// SetReasonNames installs a stage's drop-reason table: names[i] names code
-// i+1 (code 0 is "none" and never appears in a drop event). Each subsystem
-// registers its own interned taxonomy at wiring time.
-func (r *Recorder) SetReasonNames(st Stage, names []string) {
-	if r == nil || int(st) >= numStages {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reasons[st] = append([]string(nil), names...)
-}
-
-// ReasonName resolves a stage-local drop code to its registered name.
-func (r *Recorder) ReasonName(st Stage, code uint8) string {
-	if r == nil || int(st) >= numStages {
-		return "?"
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := r.reasons[st]
-	if code >= 1 && int(code) <= len(names) {
-		return names[code-1]
-	}
-	return fmt.Sprintf("code(%d)", code)
 }

@@ -23,12 +23,11 @@ func TestPackRoundTrip(t *testing.T) {
 
 func TestRecordAndFilter(t *testing.T) {
 	r := New(Config{Shards: 2, SlotsPerShard: 64})
-	r.SetReasonNames(StageGateway, []string{"parse_error", "meter_exceeded"})
 	dev := r.InternDevice("xgwh-0")
 
 	r.Record(Event{TimeNs: 10, FlowHash: 1, VNI: 100, Dev: dev, Stage: StageFront, Verdict: VerdictSteered})
 	r.Record(Event{TimeNs: 20, FlowHash: 1, VNI: 100, Dev: dev, Stage: StageGateway, Verdict: VerdictForward})
-	r.Record(Event{TimeNs: 30, FlowHash: 2, VNI: 200, Dev: dev, Stage: StageGateway, Verdict: VerdictDrop, Code: 2})
+	r.Record(Event{TimeNs: 30, FlowHash: 2, VNI: 200, Dev: dev, Stage: StageGateway, Verdict: VerdictDrop, Code: ReasonMeterExceeded})
 
 	if got := len(r.Snapshot()); got != 3 {
 		t.Fatalf("snapshot length = %d, want 3", got)
@@ -38,7 +37,7 @@ func TestRecordAndFilter(t *testing.T) {
 		t.Fatalf("flow filter: %+v", flow1)
 	}
 	drops := r.Events(Filter{DropsOnly: true})
-	if len(drops) != 1 || drops[0].VNI != 200 || drops[0].Code != 2 {
+	if len(drops) != 1 || drops[0].VNI != 200 || drops[0].Code != ReasonMeterExceeded {
 		t.Fatalf("drop filter: %+v", drops)
 	}
 	if got := r.Events(Filter{VNI: 100, MatchVNI: true}); len(got) != 2 {
@@ -51,7 +50,7 @@ func TestRecordAndFilter(t *testing.T) {
 		t.Fatalf("limit should keep the newest: %+v", got)
 	}
 
-	if n := r.DropTally(StageGateway, 2); n != 1 {
+	if n := r.DropTally(StageGateway, ReasonMeterExceeded); n != 1 {
 		t.Fatalf("drop tally = %d", n)
 	}
 	dc := r.DropCounts()
@@ -120,13 +119,6 @@ func TestInterning(t *testing.T) {
 	if got := r.DeviceName(999); got != "?" {
 		t.Fatalf("unknown device = %q", got)
 	}
-	r.SetReasonNames(StageFallback, []string{"parse_error", "no_route"})
-	if got := r.ReasonName(StageFallback, 2); got != "no_route" {
-		t.Fatalf("ReasonName = %q", got)
-	}
-	if got := r.ReasonName(StageFallback, 9); got != "code(9)" {
-		t.Fatalf("unknown reason = %q", got)
-	}
 	if got := StageFallback.String(); got != "fallback" {
 		t.Fatalf("stage name = %q", got)
 	}
@@ -168,4 +160,26 @@ func BenchmarkSampledOut(b *testing.B) {
 		}
 	}
 	_ = n
+}
+
+// TestDropTallyCoversEveryReason records one drop of every code in the
+// reason space and reads each back by name: a tally array sized short of
+// the space would lose the highest codes.
+func TestDropTallyCoversEveryReason(t *testing.T) {
+	r := New(Config{Shards: 1, SlotsPerShard: 64})
+	for code := Reason(1); code < NumReasons; code++ {
+		r.Record(Event{TimeNs: int64(code), Stage: StageFallback, Verdict: VerdictDrop, Code: code})
+	}
+	got := map[string]uint64{}
+	for _, dc := range r.DropCounts() {
+		got[dc.Reason] = dc.Count
+	}
+	for code := Reason(1); code < NumReasons; code++ {
+		if got[code.String()] != 1 {
+			t.Errorf("%v (code %d): tallied %d, want 1", code, code, got[code.String()])
+		}
+	}
+	if len(got) != int(NumReasons)-1 {
+		t.Fatalf("DropCounts has %d cells, want %d: %v", len(got), NumReasons-1, got)
+	}
 }

@@ -24,40 +24,11 @@ import (
 	"sailfish/internal/trace"
 )
 
-// Drop-reason codes, interned like the xgwh taxonomy: the data plane counts
-// into a fixed array and the names only materialize on the slow path
-// (Stats, /metrics, flight-recorder queries).
-const (
-	dropNone uint8 = iota
-	dropParseError
-	dropNoRoute
-	dropNoVM
-	dropNotIPv4
-	dropSNATExhausted
-	dropNoSession
-	numDropReasons
-)
-
-// dropReasonName maps a drop code to its stable external name.
-var dropReasonName = [numDropReasons]string{
-	dropNone:          "",
-	dropParseError:    "parse_error",
-	dropNoRoute:       "no_route",
-	dropNoVM:          "no_vm",
-	dropNotIPv4:       "not_ipv4",
-	dropSNATExhausted: "snat_exhausted",
-	dropNoSession:     "no_session",
-}
-
-// DropReasonNames returns the stable taxonomy of software-path drop
-// reasons, in code order.
-func DropReasonNames() []string {
-	out := make([]string, 0, numDropReasons-1)
-	for code := 1; code < int(numDropReasons); code++ {
-		out = append(out, dropReasonName[code])
-	}
-	return out
-}
+// DropReasons is the subset of the trace reason space the software path
+// emits, in code order: the keys of Stats().DropReasons and the reason
+// labels of sailfish_x86_drops_total. Read-only.
+var DropReasons = []trace.Reason{trace.ReasonParseError, trace.ReasonNoRoute,
+	trace.ReasonNoVM, trace.ReasonNotIPv4, trace.ReasonSNATExhausted, trace.ReasonNoSession}
 
 // Config sets the capacities of one XGW-x86 node.
 type Config struct {
@@ -111,7 +82,7 @@ type Node struct {
 	vpkt   netpkt.GatewayPacket
 	ppkt   netpkt.PlainPacket
 	sbuf   *netpkt.SerializeBuffer
-	rw     reencapScratch
+	encap  netpkt.Encap
 
 	stats nodeCounters
 
@@ -120,17 +91,6 @@ type Node struct {
 	// id in the recorder.
 	tr    *trace.Recorder
 	trDev uint16
-}
-
-// reencapScratch holds the preallocated header layers reencap serializes
-// through, so the fallback hot path does not allocate per packet.
-type reencapScratch struct {
-	eth    netpkt.Ethernet
-	ip4    netpkt.IPv4
-	ip6    netpkt.IPv6
-	udp    netpkt.UDP
-	vxlan  netpkt.VXLAN
-	layers [4]netpkt.SerializableLayer
 }
 
 // Stats counts the node's behavioral outcomes.
@@ -153,7 +113,7 @@ type nodeCounters struct {
 	snatOut   atomic.Uint64
 	snatIn    atomic.Uint64
 	dropped   atomic.Uint64
-	drops     [numDropReasons]atomic.Uint64
+	drops     [trace.NumReasons]atomic.Uint64
 }
 
 // NewNode returns a node with empty tables.
@@ -203,52 +163,37 @@ func (n *Node) Stats() Stats {
 		SNATIn:        n.stats.snatIn.Load(),
 		Dropped:       n.stats.dropped.Load(),
 		SessionsAlive: n.snat.Sessions(),
-		DropReasons:   make(map[string]uint64, numDropReasons-1),
+		DropReasons:   make(map[string]uint64, len(DropReasons)),
 	}
-	for code := 1; code < int(numDropReasons); code++ {
-		s.DropReasons[dropReasonName[code]] = n.stats.drops[code].Load()
+	for _, code := range DropReasons {
+		s.DropReasons[code.String()] = n.stats.drops[code].Load()
 	}
 	return s
 }
 
 // EnableTracing attaches the node to a flight recorder under the given
-// device name and registers the software-path drop taxonomy. Wire before
-// traffic starts.
+// device name. Wire before traffic starts.
 func (n *Node) EnableTracing(rec *trace.Recorder, device string) {
 	n.tr = rec
 	if rec != nil {
 		n.trDev = rec.InternDevice(device)
-		rec.SetReasonNames(trace.StageFallback, DropReasonNames())
 	}
 }
 
-// traceEvent records a verdict into the flight recorder: drops always,
-// forwards only when the flow hash is sampled.
-func (n *Node) traceEvent(verdict trace.Verdict, code uint8, fh uint64, vni netpkt.VNI, now time.Time) {
-	tr := n.tr
-	if tr == nil {
-		return
+// emit records a verdict under the recorder's sampling rule.
+func (n *Node) emit(verdict trace.Verdict, code trace.Reason, fh uint64, vni netpkt.VNI, now time.Time) {
+	if tr := n.tr; tr != nil {
+		tr.Emit(trace.Event{TimeNs: now.UnixNano(), FlowHash: fh, VNI: vni, Dev: n.trDev,
+			Stage: trace.StageFallback, Verdict: verdict, Code: code})
 	}
-	if verdict != trace.VerdictDrop && !tr.Sampled(fh) {
-		return
-	}
-	tr.Record(trace.Event{
-		TimeNs:   now.UnixNano(),
-		FlowHash: fh,
-		VNI:      vni,
-		Dev:      n.trDev,
-		Stage:    trace.StageFallback,
-		Verdict:  verdict,
-		Code:     code,
-	})
 }
 
-// drop books one discarded packet under its interned reason and emits the
-// always-on flight-recorder event.
-func (n *Node) drop(code uint8, fh uint64, vni netpkt.VNI, now time.Time) {
+// drop books one discarded packet: the dropped total, its reason cell and
+// the always-on flight-recorder event.
+func (n *Node) drop(code trace.Reason, fh uint64, vni netpkt.VNI, now time.Time) {
 	n.stats.dropped.Add(1)
 	n.stats.drops[code].Add(1)
-	n.traceEvent(trace.VerdictDrop, code, fh, vni, now)
+	n.emit(trace.VerdictDrop, code, fh, vni, now)
 }
 
 // RegisterMetrics publishes the node's behavioral counters into a live
@@ -263,10 +208,9 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, node string) {
 		n.stats.snatIn.Load)
 	reg.CounterFunc("sailfish_x86_dropped_total", "packets dropped by the software path", l,
 		n.stats.dropped.Load)
-	for code := 1; code < int(numDropReasons); code++ {
-		c := &n.stats.drops[code]
+	for _, code := range DropReasons {
 		reg.CounterFunc("sailfish_x86_drops_total", "software-path drops by reason",
-			metrics.Labels{"node": node, "reason": dropReasonName[code]}, c.Load)
+			metrics.Labels{"node": node, "reason": code.String()}, n.stats.drops[code].Load)
 	}
 }
 
@@ -292,35 +236,27 @@ func (n *Node) ProcessFallback(raw []byte, now time.Time) (FallbackResult, error
 	if err := n.parser.Parse(raw, &n.vpkt); err != nil {
 		// n.vpkt holds the previous packet's fields after a failed parse, so
 		// the drop event carries no flow identity.
-		n.drop(dropParseError, 0, 0, now)
+		n.drop(trace.ReasonParseError, 0, 0, now)
 		return FallbackResult{}, err
 	}
-	vni, route, err := n.Routes.Resolve(n.vpkt.VXLAN.VNI, n.vpkt.InnerDst())
-	if err != nil {
-		n.drop(dropNoRoute, n.vpkt.InnerFlow().FastHash(), n.vpkt.VXLAN.VNI, now)
+	vni, scope, nc, err := tables.ResolveNC(n.Routes, n.VMNC, n.vpkt.VXLAN.VNI, n.vpkt.InnerDst())
+	switch {
+	case err == tables.ErrNoVM:
+		n.drop(trace.ReasonNoVM, n.vpkt.InnerFlow().FastHash(), vni, now)
+		return FallbackResult{}, tables.ErrNoRoute
+	case err != nil:
+		n.drop(trace.ReasonNoRoute, n.vpkt.InnerFlow().FastHash(), vni, now)
 		return FallbackResult{}, err
-	}
-	var nc netip.Addr
-	switch route.Scope {
-	case tables.ScopeLocal:
-		var ok bool
-		nc, ok = n.VMNC.Lookup(vni, n.vpkt.InnerDst())
-		if !ok {
-			n.drop(dropNoVM, n.vpkt.InnerFlow().FastHash(), vni, now)
-			return FallbackResult{}, tables.ErrNoRoute
-		}
-	case tables.ScopeRemote:
-		nc = route.Tunnel
-	case tables.ScopeService:
+	case scope == tables.ScopeService:
 		// SNAT traffic reaching the generic fallback entry point.
 		return n.ProcessSNATOutbound(raw, now)
 	}
-	out, err := n.reencap(n.vpkt.VXLAN.Payload(), vni, nc, n.vpkt.OuterUDP.SrcPort)
+	out, err := n.encap.VXLAN(n.sbuf, n.vpkt.VXLAN.Payload(), n.cfg.GatewayIP, nc, n.vpkt.OuterUDP.SrcPort, vni)
 	if err != nil {
 		return FallbackResult{}, err
 	}
 	n.stats.forwarded.Add(1)
-	n.traceEvent(trace.VerdictForward, 0, n.vpkt.InnerFlow().FastHash(), vni, now)
+	n.emit(trace.VerdictForward, 0, n.vpkt.InnerFlow().FastHash(), vni, now)
 	return FallbackResult{Out: out, NC: nc, LatencyUs: n.cfg.LatencyUs}, nil
 }
 
@@ -330,19 +266,19 @@ func (n *Node) ProcessFallback(raw []byte, now time.Time) (FallbackResult, error
 // the plain packet is emitted toward the Internet.
 func (n *Node) ProcessSNATOutbound(raw []byte, now time.Time) (FallbackResult, error) {
 	if err := n.parser.Parse(raw, &n.vpkt); err != nil {
-		n.drop(dropParseError, 0, 0, now)
+		n.drop(trace.ReasonParseError, 0, 0, now)
 		return FallbackResult{}, err
 	}
 	if !n.vpkt.HasL4 || n.vpkt.InnerIsV6 {
 		// Production SNAT is IPv4; v6 uses different prefixes entirely.
-		n.drop(dropNotIPv4, n.vpkt.InnerFlow().FastHash(), n.vpkt.VXLAN.VNI, now)
+		n.drop(trace.ReasonNotIPv4, n.vpkt.InnerFlow().FastHash(), n.vpkt.VXLAN.VNI, now)
 		return FallbackResult{}, netpkt.ErrNotVXLAN
 	}
 	key := tables.SNATKey{VNI: n.vpkt.VXLAN.VNI, Flow: n.vpkt.InnerFlow()}
 	// Translate refreshes the idle stamp itself; no separate Touch.
 	bind, err := n.snat.Active().Translate(key, now)
 	if err != nil {
-		n.drop(dropSNATExhausted, key.Flow.FastHash(), key.VNI, now)
+		n.drop(trace.ReasonSNATExhausted, key.Flow.FastHash(), key.VNI, now)
 		return FallbackResult{}, err
 	}
 	// Rebuild the inner frame with the translated source.
@@ -367,7 +303,7 @@ func (n *Node) ProcessSNATOutbound(raw []byte, now time.Time) (FallbackResult, e
 		return FallbackResult{}, err
 	}
 	n.stats.snatOut.Add(1)
-	n.traceEvent(trace.VerdictForward, 0, key.Flow.FastHash(), key.VNI, now)
+	n.emit(trace.VerdictForward, 0, key.Flow.FastHash(), key.VNI, now)
 	return FallbackResult{Out: n.sbuf.Bytes(), ToInternet: true, LatencyUs: n.cfg.LatencyUs}, nil
 }
 
@@ -377,11 +313,11 @@ func (n *Node) ProcessSNATOutbound(raw []byte, now time.Time) (FallbackResult, e
 // re-encapsulated toward the VM's NC.
 func (n *Node) ProcessSNATInbound(raw []byte, now time.Time) (FallbackResult, error) {
 	if err := n.parser.ParsePlain(raw, &n.ppkt); err != nil {
-		n.drop(dropParseError, 0, 0, now)
+		n.drop(trace.ReasonParseError, 0, 0, now)
 		return FallbackResult{}, err
 	}
 	if !n.ppkt.HasL4 || n.ppkt.IsV6 {
-		n.drop(dropNotIPv4, 0, 0, now)
+		n.drop(trace.ReasonNotIPv4, 0, 0, now)
 		return FallbackResult{}, netpkt.ErrNotVXLAN
 	}
 	f := n.ppkt.Flow()
@@ -389,12 +325,12 @@ func (n *Node) ProcessSNATInbound(raw []byte, now time.Time) (FallbackResult, er
 	// ReverseLookup refreshes the session's idle stamp itself.
 	key, ok := n.snat.Active().ReverseLookup(bind, f.Src, f.SrcPort, f.Proto, now)
 	if !ok {
-		n.drop(dropNoSession, f.FastHash(), 0, now)
+		n.drop(trace.ReasonNoSession, f.FastHash(), 0, now)
 		return FallbackResult{}, tables.ErrNoRoute
 	}
 	nc, ok := n.VMNC.Lookup(key.VNI, key.Flow.Src)
 	if !ok {
-		n.drop(dropNoVM, key.Flow.FastHash(), key.VNI, now)
+		n.drop(trace.ReasonNoVM, key.Flow.FastHash(), key.VNI, now)
 		return FallbackResult{}, tables.ErrNoRoute
 	}
 	// Rebuild the inner frame with the original private destination.
@@ -418,12 +354,12 @@ func (n *Node) ProcessSNATInbound(raw []byte, now time.Time) (FallbackResult, er
 	if err := netpkt.SerializeLayers(inner, payload, layers...); err != nil {
 		return FallbackResult{}, err
 	}
-	out, err := n.reencap(inner.Bytes(), key.VNI, nc, 0xC000|uint16(key.Flow.FastHash()&0x3FFF))
+	out, err := n.encap.VXLAN(n.sbuf, inner.Bytes(), n.cfg.GatewayIP, nc, 0xC000|uint16(key.Flow.FastHash()&0x3FFF), key.VNI)
 	if err != nil {
 		return FallbackResult{}, err
 	}
 	n.stats.snatIn.Add(1)
-	n.traceEvent(trace.VerdictForward, 0, key.Flow.FastHash(), key.VNI, now)
+	n.emit(trace.VerdictForward, 0, key.Flow.FastHash(), key.VNI, now)
 	return FallbackResult{Out: out, NC: nc, LatencyUs: n.cfg.LatencyUs}, nil
 }
 
@@ -440,31 +376,6 @@ func (n *Node) ExpireSessions(now time.Time, ttl time.Duration) int {
 // stall-the-world sweep.
 func (n *Node) ReapSessions(now time.Time, ttl time.Duration, budget int) int {
 	return n.snat.Active().ReapIdle(now, ttl, budget)
-}
-
-// reencap wraps an inner frame in fresh VXLAN/UDP/IP/Ethernet headers. The
-// headers live in the node's scratch; full struct assignment resets any
-// state from the previous packet.
-func (n *Node) reencap(inner []byte, vni netpkt.VNI, dst netip.Addr, srcPort uint16) ([]byte, error) {
-	s := &n.rw
-	s.eth = netpkt.Ethernet{EtherType: netpkt.EtherTypeIPv4}
-	if dst.Is6() {
-		s.eth.EtherType = netpkt.EtherTypeIPv6
-		s.ip6 = netpkt.IPv6{NextHeader: netpkt.IPProtocolUDP, HopLimit: 64,
-			SrcIP: n.cfg.GatewayIP, DstIP: dst}
-		s.layers[1] = &s.ip6
-	} else {
-		s.ip4 = netpkt.IPv4{TTL: 64, Protocol: netpkt.IPProtocolUDP,
-			SrcIP: n.cfg.GatewayIP, DstIP: dst}
-		s.layers[1] = &s.ip4
-	}
-	s.udp = netpkt.UDP{SrcPort: srcPort, DstPort: netpkt.VXLANPort}
-	s.vxlan = netpkt.VXLAN{VNI: vni}
-	s.layers[0], s.layers[2], s.layers[3] = &s.eth, &s.udp, &s.vxlan
-	if err := netpkt.SerializeLayers(n.sbuf, inner, s.layers[:]...); err != nil {
-		return nil, err
-	}
-	return n.sbuf.Bytes(), nil
 }
 
 // AnswerPing handles a health-monitoring ICMP echo request aimed at the

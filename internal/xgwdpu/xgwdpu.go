@@ -10,12 +10,14 @@
 // falls through to the x86 pool. A miss is not a drop — the packet still
 // has the x86 tier below it — so the pool distinguishes misses (route/VM
 // not resident, service-scope traffic whose SNAT state lives on x86) from
-// true drops (unparseable frames), mirroring the xgwh/xgw86 taxonomy split.
+// true drops (unparseable frames), mirroring the xgwh/xgw86 fallback-vs-drop
+// split.
 package xgwdpu
 
 import (
 	"errors"
 	"net/netip"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -30,29 +32,10 @@ import (
 // promotion, exactly like the hardware tier's capacity gate.
 var ErrOverCapacity = errors.New("xgwdpu: device table capacity exhausted")
 
-// Drop-reason codes, interned like the xgwh/xgw86 taxonomies: the data
-// plane counts into a fixed array and names materialize only on the slow
-// path (Stats, /metrics, flight-recorder queries).
-const (
-	dropNone uint8 = iota
-	dropParseError
-	numDropReasons
-)
-
-var dropReasonName = [numDropReasons]string{
-	dropNone:       "",
-	dropParseError: "parse_error",
-}
-
-// DropReasonNames returns the stable taxonomy of DPU-path drop reasons, in
-// code order.
-func DropReasonNames() []string {
-	out := make([]string, 0, numDropReasons-1)
-	for code := 1; code < int(numDropReasons); code++ {
-		out = append(out, dropReasonName[code])
-	}
-	return out
-}
+// DropReasons is the subset of the trace reason space the DPU tier emits, in
+// code order: the keys of Stats().DropReasons and the reason labels of
+// sailfish_dpu_drops_total. Read-only.
+var DropReasons = []trace.Reason{trace.ReasonParseError}
 
 // Config sets the shape of one DPU pool.
 type Config struct {
@@ -97,19 +80,8 @@ type device struct {
 	parser netpkt.Parser
 	vpkt   netpkt.GatewayPacket
 	sbuf   *netpkt.SerializeBuffer
-	rw     reencapScratch
+	encap  netpkt.Encap
 	trDev  uint16
-}
-
-// reencapScratch holds the preallocated header layers reencap serializes
-// through, so the DPU forwarding path does not allocate per packet.
-type reencapScratch struct {
-	eth    netpkt.Ethernet
-	ip4    netpkt.IPv4
-	ip6    netpkt.IPv6
-	udp    netpkt.UDP
-	vxlan  netpkt.VXLAN
-	layers [4]netpkt.SerializableLayer
 }
 
 // Pool is the DPU tier: shared warm tables plus per-device scratch. Table
@@ -161,7 +133,7 @@ type poolCounters struct {
 	missVM      atomic.Uint64
 	missService atomic.Uint64
 	dropped     atomic.Uint64
-	drops       [numDropReasons]atomic.Uint64
+	drops       [trace.NumReasons]atomic.Uint64
 }
 
 // NewPool returns a pool with empty warm tables.
@@ -251,13 +223,13 @@ func (p *Pool) Stats() Stats {
 		MissVM:      p.stats.missVM.Load(),
 		MissService: p.stats.missService.Load(),
 		Dropped:     p.stats.dropped.Load(),
-		DropReasons: make(map[string]uint64, numDropReasons-1),
+		DropReasons: make(map[string]uint64, len(DropReasons)),
 		Entries:     p.EntryCount(),
 		Capacity:    p.cfg.EntryCapacity,
 		Devices:     len(p.devs),
 	}
-	for code := 1; code < int(numDropReasons); code++ {
-		s.DropReasons[dropReasonName[code]] = p.stats.drops[code].Load()
+	for _, code := range DropReasons {
+		s.DropReasons[code.String()] = p.stats.drops[code].Load()
 	}
 	return s
 }
@@ -274,62 +246,32 @@ func (p *Pool) ResetStats() {
 	}
 }
 
-// EnableTracing attaches the pool to a flight recorder: each device interns
-// under "<prefix>-<i>" and the DPU drop taxonomy registers on StageDPU.
-// Wire before traffic starts.
+// EnableTracing attaches the pool to a flight recorder, each device
+// interned under "<prefix>-<i>". Wire before traffic starts.
 func (p *Pool) EnableTracing(rec *trace.Recorder, devicePrefix string) {
 	p.tr = rec
 	if rec == nil {
 		return
 	}
-	rec.SetReasonNames(trace.StageDPU, DropReasonNames())
 	for i := range p.devs {
-		p.devs[i].trDev = rec.InternDevice(devicePrefix + "-" + itoa(i))
+		p.devs[i].trDev = rec.InternDevice(devicePrefix + "-" + strconv.Itoa(i))
 	}
 }
 
-// itoa formats small non-negative ints without fmt (init-time only).
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
+// emit records a verdict of device d under the recorder's sampling rule.
+func (p *Pool) emit(d *device, verdict trace.Verdict, code trace.Reason, fh uint64, vni netpkt.VNI, now time.Time) {
+	if tr := p.tr; tr != nil {
+		tr.Emit(trace.Event{TimeNs: now.UnixNano(), FlowHash: fh, VNI: vni, Dev: d.trDev,
+			Stage: trace.StageDPU, Verdict: verdict, Code: code})
 	}
-	var buf [20]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
 }
 
-// traceEvent records a verdict into the flight recorder: drops always,
-// forwards and misses only when the flow hash is sampled.
-func (p *Pool) traceEvent(d *device, verdict trace.Verdict, code uint8, fh uint64, vni netpkt.VNI, now time.Time) {
-	tr := p.tr
-	if tr == nil {
-		return
-	}
-	if verdict != trace.VerdictDrop && !tr.Sampled(fh) {
-		return
-	}
-	tr.Record(trace.Event{
-		TimeNs:   now.UnixNano(),
-		FlowHash: fh,
-		VNI:      vni,
-		Dev:      d.trDev,
-		Stage:    trace.StageDPU,
-		Verdict:  verdict,
-		Code:     code,
-	})
-}
-
-// drop books one discarded packet under its interned reason and emits the
-// always-on flight-recorder event.
-func (p *Pool) drop(d *device, code uint8, fh uint64, vni netpkt.VNI, now time.Time) {
+// drop books one discarded packet: the dropped total, its reason cell and
+// the always-on flight-recorder event.
+func (p *Pool) drop(d *device, code trace.Reason, fh uint64, vni netpkt.VNI, now time.Time) {
 	p.stats.dropped.Add(1)
 	p.stats.drops[code].Add(1)
-	p.traceEvent(d, trace.VerdictDrop, code, fh, vni, now)
+	p.emit(d, trace.VerdictDrop, code, fh, vni, now)
 }
 
 // RegisterMetrics publishes the pool's counters into a live registry under
@@ -345,10 +287,9 @@ func (p *Pool) RegisterMetrics(reg *metrics.Registry) {
 		metrics.Labels{"reason": "service"}, p.stats.missService.Load)
 	reg.CounterFunc("sailfish_dpu_dropped_total", "packets dropped by the DPU tier", nil,
 		p.stats.dropped.Load)
-	for code := 1; code < int(numDropReasons); code++ {
-		c := &p.stats.drops[code]
+	for _, code := range DropReasons {
 		reg.CounterFunc("sailfish_dpu_drops_total", "DPU-tier drops by reason",
-			metrics.Labels{"reason": dropReasonName[code]}, c.Load)
+			metrics.Labels{"reason": code.String()}, p.stats.drops[code].Load)
 	}
 	reg.GaugeFunc("sailfish_dpu_entries", "installed warm-set entries", nil,
 		func() float64 { return float64(p.entries.Load()) })
@@ -377,7 +318,7 @@ type ForwardResult struct {
 //     or service-scope traffic whose SNAT state lives on x86) — the caller
 //     falls through to the x86 pool. Not a drop.
 //   - err != nil: the packet died here (unparseable frame); the drop is
-//     booked under the DPU taxonomy.
+//     booked on the DPU stage.
 //
 // Calls on the same device must be serialized (per-device scratch); calls
 // on distinct devices may run concurrently.
@@ -386,63 +327,29 @@ func (p *Pool) ProcessOn(dev int, raw []byte, now time.Time) (ForwardResult, boo
 	if err := d.parser.Parse(raw, &d.vpkt); err != nil {
 		// d.vpkt holds the previous packet's fields after a failed parse,
 		// so the drop event carries no flow identity.
-		p.drop(d, dropParseError, 0, 0, now)
+		p.drop(d, trace.ReasonParseError, 0, 0, now)
 		return ForwardResult{}, false, err
 	}
-	vni, route, err := p.Routes.Resolve(d.vpkt.VXLAN.VNI, d.vpkt.InnerDst())
-	if err != nil {
+	fh := d.vpkt.InnerFlow().FastHash()
+	vni, scope, nc, err := tables.ResolveNC(p.Routes, p.VMNC, d.vpkt.VXLAN.VNI, d.vpkt.InnerDst())
+	switch {
+	case err == tables.ErrNoVM:
+		p.stats.missVM.Add(1)
+	case err != nil:
 		p.stats.missRoute.Add(1)
-		p.traceEvent(d, trace.VerdictFallback, 0, d.vpkt.InnerFlow().FastHash(), d.vpkt.VXLAN.VNI, now)
-		return ForwardResult{}, false, nil
-	}
-	var nc netip.Addr
-	switch route.Scope {
-	case tables.ScopeLocal:
-		var ok bool
-		nc, ok = p.VMNC.Lookup(vni, d.vpkt.InnerDst())
-		if !ok {
-			p.stats.missVM.Add(1)
-			p.traceEvent(d, trace.VerdictFallback, 0, d.vpkt.InnerFlow().FastHash(), vni, now)
-			return ForwardResult{}, false, nil
-		}
-	case tables.ScopeRemote:
-		nc = route.Tunnel
-	case tables.ScopeService:
+	case scope == tables.ScopeService:
 		// Stateful SNAT lives on the x86 pool; the DPU never holds
 		// session state, so service-scope traffic always falls through.
 		p.stats.missService.Add(1)
-		p.traceEvent(d, trace.VerdictFallback, 0, d.vpkt.InnerFlow().FastHash(), vni, now)
-		return ForwardResult{}, false, nil
+	default:
+		out, err := d.encap.VXLAN(d.sbuf, d.vpkt.VXLAN.Payload(), p.cfg.GatewayIP, nc, d.vpkt.OuterUDP.SrcPort, vni)
+		if err != nil {
+			return ForwardResult{}, false, err
+		}
+		p.stats.forwarded.Add(1)
+		p.emit(d, trace.VerdictForward, 0, fh, vni, now)
+		return ForwardResult{Out: out, NC: nc, LatencyUs: p.cfg.LatencyUs}, true, nil
 	}
-	out, err := p.reencap(d, d.vpkt.VXLAN.Payload(), vni, nc, d.vpkt.OuterUDP.SrcPort)
-	if err != nil {
-		return ForwardResult{}, false, err
-	}
-	p.stats.forwarded.Add(1)
-	p.traceEvent(d, trace.VerdictForward, 0, d.vpkt.InnerFlow().FastHash(), vni, now)
-	return ForwardResult{Out: out, NC: nc, LatencyUs: p.cfg.LatencyUs}, true, nil
-}
-
-// reencap wraps an inner frame in fresh VXLAN/UDP/IP/Ethernet headers using
-// the device's scratch; full struct assignment resets prior packet state.
-func (p *Pool) reencap(d *device, inner []byte, vni netpkt.VNI, dst netip.Addr, srcPort uint16) ([]byte, error) {
-	s := &d.rw
-	s.eth = netpkt.Ethernet{EtherType: netpkt.EtherTypeIPv4}
-	if dst.Is6() {
-		s.eth.EtherType = netpkt.EtherTypeIPv6
-		s.ip6 = netpkt.IPv6{NextHeader: netpkt.IPProtocolUDP, HopLimit: 64,
-			SrcIP: p.cfg.GatewayIP, DstIP: dst}
-		s.layers[1] = &s.ip6
-	} else {
-		s.ip4 = netpkt.IPv4{TTL: 64, Protocol: netpkt.IPProtocolUDP,
-			SrcIP: p.cfg.GatewayIP, DstIP: dst}
-		s.layers[1] = &s.ip4
-	}
-	s.udp = netpkt.UDP{SrcPort: srcPort, DstPort: netpkt.VXLANPort}
-	s.vxlan = netpkt.VXLAN{VNI: vni}
-	s.layers[0], s.layers[2], s.layers[3] = &s.eth, &s.udp, &s.vxlan
-	if err := netpkt.SerializeLayers(d.sbuf, inner, s.layers[:]...); err != nil {
-		return nil, err
-	}
-	return d.sbuf.Bytes(), nil
+	p.emit(d, trace.VerdictFallback, 0, fh, vni, now)
+	return ForwardResult{}, false, nil
 }

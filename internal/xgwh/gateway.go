@@ -42,37 +42,17 @@ func (a Action) String() string {
 	return fmt.Sprintf("Action(%d)", int(a))
 }
 
-// Drop-reason codes. The data plane counts drops in a fixed array indexed by
-// these codes — interning the reason names keeps the per-packet drop path free
-// of string building and map hashing; the names only materialize on the slow
-// path (Stats, ForwardResult, telemetry postcards use the precomputed
-// strings).
-const (
-	dropNone uint8 = iota
-	dropParseError
-	dropMeterExceeded
-	dropRouteLoop
-	dropACLDeny
-	dropFallbackRateLimit
-	dropNoNC
-	numDropReasons
-)
+// DropReasons is the subset of the trace reason space the gateway emits, in
+// code order: the reason labels of sailfish_gw_drops_total and the possible
+// keys of Stats().DropReasons. Read-only.
+var DropReasons = []trace.Reason{trace.ReasonParseError, trace.ReasonMeterExceeded,
+	trace.ReasonRouteLoop, trace.ReasonACLDeny, trace.ReasonFallbackRateLimit, trace.ReasonNoNC}
 
-// dropReasonName maps a drop code to its stable external name.
-var dropReasonName = [numDropReasons]string{
-	dropNone:              "",
-	dropParseError:        "parse_error",
-	dropMeterExceeded:     "meter_exceeded",
-	dropRouteLoop:         "route_loop",
-	dropACLDeny:           "acl_deny",
-	dropFallbackRateLimit: "fallback_rate_limit",
-	dropNoNC:              "no_nc",
-}
-
-// dropAction holds the precomputed telemetry action string per drop code.
-var dropAction = func() (a [numDropReasons]string) {
-	for i := 1; i < int(numDropReasons); i++ {
-		a[i] = "drop:" + dropReasonName[i]
+// dropAction holds the precomputed telemetry action string per drop reason,
+// so a drop postcard costs no string building.
+var dropAction = func() (a [trace.NumReasons]string) {
+	for _, code := range DropReasons {
+		a[code] = "drop:" + code.String()
 	}
 	return a
 }()
@@ -221,7 +201,7 @@ type PacketScratch struct {
 	pkt    netpkt.GatewayPacket
 	ctx    tofino.Context
 	sbuf   *netpkt.SerializeBuffer
-	rw     rewriteScratch
+	encap  netpkt.Encap
 	// tr, when non-nil, overrides the gateway's wired recorder for events
 	// emitted while processing with this scratch — each shard records into
 	// its own recorder and the scrape path merges them. Device ids stay
@@ -249,13 +229,12 @@ func (g *Gateway) EnableTelemetry(deviceID string, m *telemetry.Matcher, c *tele
 }
 
 // EnableTracing attaches the node to a flight recorder under the given
-// device name and registers the gateway drop-reason taxonomy. Wire before
-// traffic starts; the data-plane goroutine reads g.tr without synchronizing.
+// device name. Wire before traffic starts; the data-plane goroutine reads
+// g.tr without synchronizing.
 func (g *Gateway) EnableTracing(rec *trace.Recorder, device string) {
 	g.tr = rec
 	if rec != nil {
 		g.trDev = rec.InternDevice(device)
-		rec.SetReasonNames(trace.StageGateway, DropReasonNames())
 	}
 }
 
@@ -268,28 +247,31 @@ func (g *Gateway) recorder(sc *PacketScratch) *trace.Recorder {
 	return g.tr
 }
 
-// traceEvent records sc's packet verdict in the flight recorder: always for
-// drops, by deterministic flow-hash sampling otherwise. The flow hash comes
-// from the parse-time cache, so a traced-but-sampled-out packet costs one
-// hash and no allocation.
-func (g *Gateway) traceEvent(sc *PacketScratch, verdict trace.Verdict, code uint8, now time.Time) {
-	tr := g.recorder(sc)
-	if tr == nil {
+// emit records sc's packet verdict under the recorder's sampling rule. The
+// flow hash is only computed when a recorder is wired, so untraced packets
+// pay nothing and a sampled-out one costs one hash and no allocation.
+func (g *Gateway) emit(sc *PacketScratch, verdict trace.Verdict, code trace.Reason, now time.Time) {
+	if tr := g.recorder(sc); tr != nil {
+		tr.Emit(trace.Event{TimeNs: now.UnixNano(), FlowHash: sc.pkt.InnerFlow().FastHash(),
+			VNI: sc.pkt.VXLAN.VNI, Dev: g.trDev, Stage: trace.StageGateway, Verdict: verdict, Code: code})
+	}
+}
+
+// drop books one discarded packet into out and the stats plane: the dropped
+// total, its reason cell, the always-on flight-recorder event and the
+// postcard. After a failed parse sc.pkt still holds the previous packet, so
+// a parse_error drop carries no flow identity and sends no postcard.
+func (g *Gateway) drop(sc *PacketScratch, out *ForwardResult, code trace.Reason, now time.Time) {
+	out.Action, out.DropReason = ActionDrop, code.String()
+	g.stats.dropped.Add(1)
+	g.stats.drops[code].Add(1)
+	if code == trace.ReasonParseError {
+		g.recorder(sc).Emit(trace.Event{TimeNs: now.UnixNano(), Dev: g.trDev,
+			Stage: trace.StageGateway, Verdict: trace.VerdictDrop, Code: code})
 		return
 	}
-	fh := sc.pkt.InnerFlow().FastHash()
-	if verdict != trace.VerdictDrop && !tr.Sampled(fh) {
-		return
-	}
-	tr.Record(trace.Event{
-		TimeNs:   now.UnixNano(),
-		FlowHash: fh,
-		VNI:      sc.pkt.VXLAN.VNI,
-		Dev:      g.trDev,
-		Stage:    trace.StageGateway,
-		Verdict:  verdict,
-		Code:     code,
-	})
+	g.emit(sc, trace.VerdictDrop, code, now)
+	g.reportTelemetry(sc, dropAction[code], now)
 }
 
 // reportTelemetry emits the postcard for sc's packet if traced.
@@ -509,7 +491,7 @@ func (g *Gateway) execClassify(ctx *tofino.Context) error {
 func (g *Gateway) execMeter(ctx *tofino.Context) error {
 	if !g.meter.Allow(ctx.Pkt.VXLAN.VNI, ctx.Pkt.WireLen, ctx.Now) {
 		ctx.Drop = true
-		ctx.DropCode = dropMeterExceeded
+		ctx.DropCode = uint8(trace.ReasonMeterExceeded)
 	}
 	return nil
 }
@@ -538,7 +520,7 @@ func (g *Gateway) execRoute(ctx *tofino.Context) error {
 		ctx.FallbackMiss = true
 	case tables.ErrRouteLoop:
 		ctx.Drop = true
-		ctx.DropCode = dropRouteLoop
+		ctx.DropCode = uint8(trace.ReasonRouteLoop)
 	default:
 		return err
 	}
@@ -573,7 +555,7 @@ func (g *Gateway) execACL(ctx *tofino.Context) error {
 	}
 	if g.acl.Check(ctx.Pkt.VXLAN.VNI, ctx.Pkt.InnerFlow()) == tables.ACLDeny {
 		ctx.Drop = true
-		ctx.DropCode = dropACLDeny
+		ctx.DropCode = uint8(trace.ReasonACLDeny)
 	}
 	return nil
 }
@@ -617,15 +599,9 @@ func (g *Gateway) ProcessPacketWith(sc *PacketScratch, raw []byte, now time.Time
 		t0 = time.Now()
 	}
 	if err := sc.parser.Parse(raw, &sc.pkt); err != nil {
-		g.stats.dropped.Add(1)
-		g.stats.drops[dropParseError].Add(1)
-		if tr := g.recorder(sc); tr != nil {
-			// sc.pkt holds the previous packet's fields after a failed parse,
-			// so the event carries no flow identity — just the where and why.
-			tr.Record(trace.Event{TimeNs: now.UnixNano(), Dev: g.trDev,
-				Stage: trace.StageGateway, Verdict: trace.VerdictDrop, Code: dropParseError})
-		}
-		return ForwardResult{Action: ActionDrop, DropReason: dropReasonName[dropParseError]}, nil
+		var out ForwardResult
+		g.drop(sc, &out, trace.ReasonParseError, now)
+		return out, nil
 	}
 	if obs != nil {
 		obs.Parse.Observe(float64(time.Since(t0).Nanoseconds()))
@@ -654,23 +630,11 @@ func (g *Gateway) ProcessPacketWith(sc *PacketScratch, raw []byte, now time.Time
 
 	switch {
 	case sc.ctx.Drop:
-		out.Action = ActionDrop
-		out.DropReason = dropReasonName[sc.ctx.DropCode]
-		g.stats.dropped.Add(1)
-		g.stats.drops[sc.ctx.DropCode].Add(1)
-		g.traceEvent(sc, trace.VerdictDrop, sc.ctx.DropCode, now)
-		g.reportTelemetry(sc, dropAction[sc.ctx.DropCode], now)
+		g.drop(sc, &out, trace.Reason(sc.ctx.DropCode), now)
 	case sc.ctx.ToFallback:
-		if g.cfg.FallbackRateBps > 0 {
-			if !g.fbMeter.Allow(0, sc.pkt.WireLen, now) {
-				out.Action = ActionDrop
-				out.DropReason = dropReasonName[dropFallbackRateLimit]
-				g.stats.dropped.Add(1)
-				g.stats.drops[dropFallbackRateLimit].Add(1)
-				g.traceEvent(sc, trace.VerdictDrop, dropFallbackRateLimit, now)
-				g.reportTelemetry(sc, dropAction[dropFallbackRateLimit], now)
-				return out, nil
-			}
+		if g.cfg.FallbackRateBps > 0 && !g.fbMeter.Allow(0, sc.pkt.WireLen, now) {
+			g.drop(sc, &out, trace.ReasonFallbackRateLimit, now)
+			return out, nil
 		}
 		out.Action = ActionFallback
 		out.FallbackMiss = sc.ctx.FallbackMiss
@@ -679,13 +643,14 @@ func (g *Gateway) ProcessPacketWith(sc *PacketScratch, raw []byte, now time.Time
 		if sc.ctx.FallbackMiss {
 			g.stats.fallbackMiss.Add(1)
 		}
-		g.traceEvent(sc, trace.VerdictFallback, 0, now)
+		g.emit(sc, trace.VerdictFallback, 0, now)
 		g.reportTelemetry(sc, "fallback", now)
 	case sc.ctx.NCOK:
 		if obs != nil {
 			t0 = time.Now()
 		}
-		rewritten, rerr := g.rewrite(sc)
+		rewritten, rerr := sc.encap.VXLAN(sc.sbuf, sc.pkt.VXLAN.Payload(), g.cfg.GatewayIP,
+			sc.ctx.NCAddr, sc.pkt.OuterUDP.SrcPort, sc.ctx.FinalVNI)
 		if rerr != nil {
 			return ForwardResult{}, rerr
 		}
@@ -696,61 +661,10 @@ func (g *Gateway) ProcessPacketWith(sc *PacketScratch, raw []byte, now time.Time
 		out.NC = sc.ctx.NCAddr
 		out.Out = rewritten
 		g.stats.forwarded.Add(1)
-		g.traceEvent(sc, trace.VerdictForward, 0, now)
+		g.emit(sc, trace.VerdictForward, 0, now)
 		g.reportTelemetry(sc, "forward", now)
 	default:
-		out.Action = ActionDrop
-		out.DropReason = dropReasonName[dropNoNC]
-		g.stats.dropped.Add(1)
-		g.stats.drops[dropNoNC].Add(1)
-		g.traceEvent(sc, trace.VerdictDrop, dropNoNC, now)
-		g.reportTelemetry(sc, dropAction[dropNoNC], now)
+		g.drop(sc, &out, trace.ReasonNoNC, now)
 	}
 	return out, nil
-}
-
-// rewriteScratch is the preallocated header set the rewrite stage reuses for
-// every packet: the serializable layer structs and the backing array for the
-// layer stack live with the gateway, so the steady-state forward path never
-// touches the heap (the hardware analogue: the deparser writes into fixed
-// header vectors, it does not "allocate").
-type rewriteScratch struct {
-	eth    netpkt.Ethernet
-	ip4    netpkt.IPv4
-	ip6    netpkt.IPv6
-	udp    netpkt.UDP
-	vxlan  netpkt.VXLAN
-	layers [4]netpkt.SerializableLayer
-}
-
-// rewrite re-encapsulates the inner frame with fresh outer headers: outer
-// destination = NC (or tunnel endpoint), outer source = the gateway VIP, and
-// the VNI of the VPC actually containing the destination (Fig. 2's outer
-// rewrite). The returned slice aliases sc's serialize buffer and is valid
-// until sc's next packet.
-func (g *Gateway) rewrite(sc *PacketScratch) ([]byte, error) {
-	inner := sc.pkt.VXLAN.Payload()
-	s := &sc.rw
-	if sc.ctx.NCAddr.Is6() {
-		s.eth = netpkt.Ethernet{EtherType: netpkt.EtherTypeIPv6}
-		s.ip6 = netpkt.IPv6{
-			NextHeader: netpkt.IPProtocolUDP, HopLimit: 64,
-			SrcIP: g.cfg.GatewayIP, DstIP: sc.ctx.NCAddr,
-		}
-		s.layers[1] = &s.ip6
-	} else {
-		s.eth = netpkt.Ethernet{EtherType: netpkt.EtherTypeIPv4}
-		s.ip4 = netpkt.IPv4{
-			TTL: 64, Protocol: netpkt.IPProtocolUDP,
-			SrcIP: g.cfg.GatewayIP, DstIP: sc.ctx.NCAddr,
-		}
-		s.layers[1] = &s.ip4
-	}
-	s.udp = netpkt.UDP{SrcPort: sc.pkt.OuterUDP.SrcPort, DstPort: netpkt.VXLANPort}
-	s.vxlan = netpkt.VXLAN{VNI: sc.ctx.FinalVNI}
-	s.layers[0], s.layers[2], s.layers[3] = &s.eth, &s.udp, &s.vxlan
-	if err := netpkt.SerializeLayers(sc.sbuf, inner, s.layers[:]...); err != nil {
-		return nil, err
-	}
-	return sc.sbuf.Bytes(), nil
 }

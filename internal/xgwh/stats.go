@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"sailfish/internal/metrics"
+	"sailfish/internal/trace"
 )
 
 // gwCounters is the gateway's live counter block. The data plane is still
@@ -24,7 +25,7 @@ type gwCounters struct {
 	units        [2]unitCounters
 	// drops counts dropped packets per interned reason code; the
 	// string-keyed map in Stats is materialized from it on demand.
-	drops [numDropReasons]atomic.Uint64
+	drops [trace.NumReasons]atomic.Uint64
 }
 
 type unitCounters struct {
@@ -52,10 +53,10 @@ func (g *Gateway) Stats() Stats {
 			Bytes:   g.stats.units[u].bytes.Load(),
 		}
 	}
-	s.DropReasons = make(map[string]uint64, numDropReasons)
-	for code := range g.stats.drops {
+	s.DropReasons = make(map[string]uint64, len(DropReasons))
+	for _, code := range DropReasons {
 		if n := g.stats.drops[code].Load(); n > 0 {
-			s.DropReasons[dropReasonName[code]] = n
+			s.DropReasons[code.String()] = n
 		}
 	}
 	return s
@@ -78,17 +79,6 @@ func (g *Gateway) ResetStats() {
 	for code := range g.stats.drops {
 		g.stats.drops[code].Store(0)
 	}
-}
-
-// DropReasonNames returns the stable taxonomy of gateway drop reasons, in
-// code order — the label set the metrics exposition publishes even before a
-// reason has fired.
-func DropReasonNames() []string {
-	out := make([]string, 0, numDropReasons-1)
-	for code := 1; code < int(numDropReasons); code++ {
-		out = append(out, dropReasonName[code])
-	}
-	return out
 }
 
 // RegisterMetrics publishes the gateway's counters into a live registry
@@ -124,10 +114,9 @@ func (g *Gateway) RegisterMetrics(reg *metrics.Registry, node string) {
 			}
 			return fb / (fwd + fb)
 		})
-	for code := 1; code < int(numDropReasons); code++ {
-		c := &g.stats.drops[code]
+	for _, code := range DropReasons {
 		reg.CounterFunc("sailfish_gw_drops_total", "packets discarded by reason",
-			metrics.Labels{"node": node, "reason": dropReasonName[code]}, c.Load)
+			metrics.Labels{"node": node, "reason": code.String()}, g.stats.drops[code].Load)
 	}
 }
 

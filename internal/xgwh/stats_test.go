@@ -75,19 +75,3 @@ func TestStatsConcurrentWithTraffic(t *testing.T) {
 		t.Fatalf("post-reset stats = %+v", st)
 	}
 }
-
-// TestDropReasonNames pins the taxonomy order and completeness the metrics
-// exposition publishes.
-func TestDropReasonNames(t *testing.T) {
-	want := []string{"parse_error", "meter_exceeded", "route_loop", "acl_deny",
-		"fallback_rate_limit", "no_nc"}
-	got := DropReasonNames()
-	if len(got) != len(want) {
-		t.Fatalf("reasons = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("reasons = %v, want %v", got, want)
-		}
-	}
-}
